@@ -4,7 +4,7 @@
 //!
 //! For each simulated lock at small `n` this runs the `Checker`
 //! exhaustive explorer twice — through the native programs and through
-//! the compiled bytecode VM (`Checker::vm(true)`) — and reports
+//! the compiled bytecode VM (`Execution::Compiled`) — and reports
 //! transitions executed, directives put to sleep, state-cache skips,
 //! distinct states, wall time, and search throughput for both paths, as
 //! adjacent rows: the numbers behind the C1 table in EXPERIMENTS.md. A
@@ -56,24 +56,9 @@ fn main() {
         println!("  {algo:<16} n={n}  {ratio:.2}x");
     }
 
-    // The cache-backend comparison (ROADMAP 4(b): "measure it"): the
-    // same portfolio workload with the visited-state cache on hash
-    // shards vs the transactional B+tree store, at a bounded size so
-    // the two extra sweeps stay cheap.
-    let cache_sizes: &[(usize, usize)] = if quick { &[(2, 30)] } else { &[(2, 60)] };
-    let cache_rows = c1::cache_backend_rows(cache_sizes, threads, probe.as_ref());
-    c1::print_cache_backend_table(
-        "C1b: visited-state cache backend (sharded shards vs B+tree store)",
-        &cache_rows,
-    );
-    println!("\nstore-vs-sharded cache throughput (states/s ratio, same state set):");
-    for (algo, n, ratio) in c1::cache_backend_ratios(&cache_rows) {
-        println!("  {algo:<16} n={n}  {ratio:.2}x");
-    }
-
     let (speedup_n, speedup_steps) = if quick { (2, 40) } else { (3, 40) };
     let speedup = c1::measure_speedup("tas", speedup_n, speedup_steps, probe.as_ref());
-    c1::write_bench_json(threads, &rows, &speedup, &cache_rows);
+    c1::write_bench_json(threads, &rows, &speedup);
 
     // The negative control: a lock with a dropped fence must be caught
     // and the counterexample must shrink to a short schedule.

@@ -254,15 +254,9 @@ fn main() {
     };
     let c1 = tpa_bench::c1::portfolio_rows(sizes, threads, probe.as_ref());
     tpa_bench::c1::print_table(&format!("C1: explorer effort ({threads} threads)"), &c1);
-    let cache_sizes: &[(usize, usize)] = if quick { &[(2, 30)] } else { &[(2, 60)] };
-    let cache_rows = tpa_bench::c1::cache_backend_rows(cache_sizes, threads, probe.as_ref());
-    tpa_bench::c1::print_cache_backend_table(
-        &format!("C1b: cache backend, sharded vs B+tree store ({threads} threads)"),
-        &cache_rows,
-    );
     let (sp_n, sp_steps) = if quick { (2, 40) } else { (3, 40) };
     let speedup = tpa_bench::c1::measure_speedup("tas", sp_n, sp_steps, probe.as_ref());
-    tpa_bench::c1::write_bench_json(threads, &c1, &speedup, &cache_rows);
+    tpa_bench::c1::write_bench_json(threads, &c1, &speedup);
 
     // R1: the crash-fault model across the bakery variants.
     let r1_steps = if quick { 28 } else { 40 };

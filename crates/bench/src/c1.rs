@@ -3,7 +3,7 @@
 //!
 //! For each simulated lock at small `n` this runs the [`Checker`]
 //! exhaustive explorer — natively and through the compiled bytecode VM
-//! (`Checker::vm(true)`), as adjacent row pairs — and records
+//! (`Features::default().compiled()`), as adjacent row pairs — and records
 //! transitions executed, directives put to sleep, state-cache skips,
 //! distinct states, wall time, and search throughput. [`measure_speedup`]
 //! reruns one instance at 1 thread and at 4 for the parallel-engine
@@ -29,7 +29,7 @@ pub struct CheckRow {
     pub max_steps: usize,
     /// Worker threads the search fanned across.
     pub threads: usize,
-    /// Whether the row ran the compiled bytecode (`Checker::vm(true)`)
+    /// Whether the row ran the compiled bytecode (`Execution::Compiled`)
     /// instead of the native programs. Native and VM rows of the same
     /// lock visit the same states (pinned by `vm_differential.rs`); only
     /// the throughput may differ.
@@ -50,8 +50,9 @@ pub struct CheckRow {
     pub complete: bool,
     /// `"pass"` or `"VIOLATION"`.
     pub verdict: &'static str,
-    /// Whether the `.symmetry(true)` rerun engaged canonical caching
-    /// (false when the lock is pid-asymmetric or no rerun was made).
+    /// Whether the `Features::default().canonical()` rerun engaged
+    /// canonical caching (false when the lock is pid-asymmetric or no
+    /// rerun was made).
     pub symmetry: bool,
     /// Distinct canonical states of the symmetry rerun; equals
     /// `unique_states` when canonical caching did not engage.
@@ -91,7 +92,8 @@ impl CheckRow {
         }
     }
 
-    /// Attaches the `.symmetry(true)` rerun's measurement to this row.
+    /// Attaches the `Features::default().canonical()` rerun's
+    /// measurement to this row.
     pub fn with_symmetry(mut self, sym: &Report) -> Self {
         self.symmetry = sym.symmetry;
         self.canonical_states = sym.stats.unique_states;
@@ -122,148 +124,6 @@ impl ToJson for CheckRow {
             ("workers", self.workers.to_json()),
         ])
     }
-}
-
-/// One measurement of the visited-state-cache backend comparison: the
-/// same exhaustive check run with the default hash shards
-/// (`store == false`) and with the transactional B+tree run store
-/// (`Checker::store_cache(true)`). The backends implement the identical
-/// subsumption protocol — state counts must agree — so the rows isolate
-/// pure storage cost, which is what ROADMAP 4(b)'s "measure it" asks.
-pub struct CacheBackendRow {
-    /// Lock name.
-    pub algo: String,
-    /// Process count.
-    pub n: usize,
-    /// Schedule-length bound.
-    pub max_steps: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// `true` for the store-backed cache, `false` for the hash shards.
-    pub store: bool,
-    /// Distinct states visited (backend-independent by construction).
-    pub unique_states: usize,
-    /// Wall-clock time, milliseconds.
-    pub wall_ms: f64,
-    /// Distinct states per second.
-    pub states_per_sec: f64,
-    /// Whether the search exhausted the bounded space.
-    pub complete: bool,
-}
-
-impl CacheBackendRow {
-    fn from_report(report: &Report, n: usize, max_steps: usize, store: bool) -> Self {
-        CacheBackendRow {
-            algo: report.algo.clone(),
-            n,
-            max_steps,
-            threads: report.threads,
-            store,
-            unique_states: report.stats.unique_states,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-            states_per_sec: report.states_per_sec(),
-            complete: report.stats.complete,
-        }
-    }
-}
-
-impl ToJson for CacheBackendRow {
-    fn to_json(&self) -> String {
-        report::json_object(&[
-            ("algo", self.algo.to_json()),
-            ("n", self.n.to_json()),
-            ("max_steps", self.max_steps.to_json()),
-            ("threads", self.threads.to_json()),
-            ("store", self.store.to_json()),
-            ("unique_states", self.unique_states.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-            ("states_per_sec", self.states_per_sec.to_json()),
-            ("complete", self.complete.to_json()),
-        ])
-    }
-}
-
-/// Runs the lock portfolio at each size twice per lock — hash shards
-/// then store-backed cache — as adjacent row pairs (the C1
-/// configuration otherwise: TSO, native execution, concrete keys).
-pub fn cache_backend_rows(
-    sizes: &[(usize, usize)],
-    threads: usize,
-    probe: Option<&Arc<dyn Probe>>,
-) -> Vec<CacheBackendRow> {
-    let mut rows = Vec::new();
-    for &(n, max_steps) in sizes {
-        for lock in tpa_algos::all_locks(n, 1) {
-            for store in [false, true] {
-                let mut checker = Checker::new(lock.as_ref())
-                    .model(MemoryModel::Tso)
-                    .max_steps(max_steps)
-                    .max_transitions(4_000_000)
-                    .threads(threads)
-                    .store_cache(store);
-                if let Some(probe) = probe {
-                    checker = checker.probe(probe.clone());
-                }
-                let report = checker.exhaustive();
-                rows.push(CacheBackendRow::from_report(&report, n, max_steps, store));
-            }
-        }
-    }
-    rows
-}
-
-/// The store-vs-sharded throughput ratios, one per adjacent
-/// [`cache_backend_rows`] pair: `store states/s ÷ sharded states/s`
-/// (below 1.0 means the shards are faster). Panics in debug builds if a
-/// pair disagrees on the state count — that would mean the backends
-/// diverged, which the differential suite forbids.
-pub fn cache_backend_ratios(rows: &[CacheBackendRow]) -> Vec<(String, usize, f64)> {
-    let mut out = Vec::new();
-    for pair in rows.chunks(2) {
-        let [sharded, store] = pair else { continue };
-        if sharded.store || !store.store || sharded.algo != store.algo {
-            continue;
-        }
-        debug_assert_eq!(
-            sharded.unique_states, store.unique_states,
-            "{}: cache backends visited different state sets",
-            sharded.algo
-        );
-        let ratio = if sharded.states_per_sec > 0.0 {
-            store.states_per_sec / sharded.states_per_sec
-        } else {
-            0.0
-        };
-        out.push((sharded.algo.clone(), sharded.n, ratio));
-    }
-    out
-}
-
-/// Prints the aligned cache-backend comparison table.
-pub fn print_cache_backend_table(title: &str, rows: &[CacheBackendRow]) {
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algo.clone(),
-                r.n.to_string(),
-                r.max_steps.to_string(),
-                r.threads.to_string(),
-                if r.store { "store" } else { "sharded" }.to_string(),
-                r.unique_states.to_string(),
-                format!("{:.1}", r.wall_ms),
-                fmt_f64(r.states_per_sec),
-                if r.complete { "yes" } else { "budget" }.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        title,
-        &[
-            "algo", "n", "steps", "thr", "cache", "states", "wall ms", "states/s", "complete",
-        ],
-        &table,
-    );
 }
 
 /// The 1-thread-vs-4-thread rerun of one exhaustive instance.
@@ -361,7 +221,7 @@ pub fn check_configured(
 /// Runs the whole lock portfolio at each `(n, max_steps)` size, through
 /// the native programs and through the compiled bytecode. Each lock
 /// contributes two adjacent rows — native then VM — and each row is
-/// measured twice (concretely, then with `.symmetry(true)`) so it also
+/// measured twice (concretely, then with `StateKeys::Canonical`) so it also
 /// carries the canonical-vs-concrete state ratio.
 pub fn portfolio_rows(
     sizes: &[(usize, usize)],
@@ -480,14 +340,7 @@ pub fn print_table(title: &str, rows: &[CheckRow]) {
 
 /// Writes the machine-readable benchmark record to `BENCH_check.json`
 /// (or the `TPA_BENCH_JSON` override) and announces the speedup line.
-/// `cache_rows` is the store-vs-sharded cache comparison (may be empty
-/// when the caller skipped it).
-pub fn write_bench_json(
-    threads: usize,
-    rows: &[CheckRow],
-    speedup: &SpeedupRecord,
-    cache_rows: &[CacheBackendRow],
-) {
+pub fn write_bench_json(threads: usize, rows: &[CheckRow], speedup: &SpeedupRecord) {
     println!(
         "\nspeedup: {} n={} — {:.1} ms at 1 thread, {:.1} ms at 4 threads \
          ({:.2}x, {} hardware threads)",
@@ -499,24 +352,18 @@ pub fn write_bench_json(
         speedup.hardware_threads,
     );
     let path = std::env::var("TPA_BENCH_JSON").unwrap_or_else(|_| "BENCH_check.json".to_owned());
-    let payload = bench_json_payload(threads, rows, speedup, cache_rows);
+    let payload = bench_json_payload(threads, rows, speedup);
     report::write_json_file("c1_explorer", &path, &payload);
 }
 
 /// Renders the `BENCH_check.json` document (split out so tests can
 /// round-trip it without touching the filesystem).
-pub fn bench_json_payload(
-    threads: usize,
-    rows: &[CheckRow],
-    speedup: &SpeedupRecord,
-    cache_rows: &[CacheBackendRow],
-) -> String {
+pub fn bench_json_payload(threads: usize, rows: &[CheckRow], speedup: &SpeedupRecord) -> String {
     report::json_object(&[
         ("experiment", "c1_explorer".to_json()),
         ("threads", threads.to_json()),
         ("rows", rows.to_json()),
         ("speedup", speedup.to_json()),
-        ("store_cache", cache_rows.to_json()),
     ])
 }
 
@@ -543,8 +390,7 @@ mod tests {
             parallel: CheckRow::from_report(&report, 2, 30),
             hardware_threads: default_threads(),
         };
-        let cache_rows = cache_backend_rows(&[(2, 12)], 1, None);
-        let payload = bench_json_payload(1, &[row], &speedup, &cache_rows);
+        let payload = bench_json_payload(1, &[row], &speedup);
 
         let v = parse(&payload).expect("bench JSON must parse");
         assert_eq!(
@@ -556,7 +402,7 @@ mod tests {
         assert_eq!(r.get("algo").and_then(Json::as_str), Some("tas"));
         assert_eq!(r.get("vm").and_then(Json::as_bool), Some(false));
         // Symmetry measurement fields are always present; without a
-        // `.symmetry(true)` rerun attached they report no reduction.
+        // `StateKeys::Canonical` rerun attached they report no reduction.
         assert_eq!(r.get("symmetry").and_then(Json::as_bool), Some(false));
         assert_eq!(r.get("sym_ratio").and_then(Json::as_num), Some(1.0));
         assert_eq!(r.get("states_per_sec").and_then(Json::as_num), Some(0.0));
@@ -569,38 +415,6 @@ mod tests {
             Some(report.stats.transitions)
         );
         assert!(v.get("speedup").and_then(|s| s.get("parallel")).is_some());
-        // The store-vs-sharded cache comparison rides along, in
-        // sharded/store pairs that agree on the state count.
-        let cache = v
-            .get("store_cache")
-            .and_then(Json::as_arr)
-            .expect("store_cache array");
-        assert_eq!(cache.len(), cache_rows.len());
-        assert!(!cache.is_empty() && cache.len().is_multiple_of(2));
-        for pair in cache.chunks(2) {
-            assert_eq!(pair[0].get("store").and_then(Json::as_bool), Some(false));
-            assert_eq!(pair[1].get("store").and_then(Json::as_bool), Some(true));
-            assert_eq!(
-                pair[0].get("unique_states").and_then(Json::as_u64),
-                pair[1].get("unique_states").and_then(Json::as_u64),
-                "cache backends must agree on the state count"
-            );
-        }
-    }
-
-    /// The backend ratios pair rows back up and stay finite.
-    #[test]
-    fn cache_backend_ratios_pair_sharded_with_store() {
-        let rows = cache_backend_rows(&[(2, 12)], 1, None);
-        let ratios = cache_backend_ratios(&rows);
-        assert_eq!(ratios.len(), rows.len() / 2);
-        for (algo, n, ratio) in &ratios {
-            assert_eq!(*n, 2);
-            assert!(
-                ratio.is_finite() && *ratio > 0.0,
-                "{algo}: bad ratio {ratio}"
-            );
-        }
     }
 
     /// `portfolio_rows` emits native/VM row pairs and `vm_speedups`

@@ -17,23 +17,13 @@
 //!   cache entry from a lexicographically later part of the tree, no
 //!   matter which worker got there first.
 //!
-//! Two interchangeable backends implement the same subsumption protocol:
-//!
-//! * [`StateCache::new`] — `Mutex<HashMap>` shards selected by the state
-//!   key's low bits, so concurrent lookups of different states rarely
-//!   contend. This is the default.
-//! * [`StateCache::new_store`] — a single transactional
-//!   [`BptreeMap`](tpa_obs::BptreeMap) (the PR-10 run store): lookups
-//!   take a lock-free snapshot, inserts run a serialized write
-//!   transaction. Benchmarked against the shards on the C1 workload
-//!   (see `exp_c1_explorer` and EXPERIMENTS.md); the subsumption
-//!   semantics and resulting state counts are identical by construction
-//!   and pinned by `crates/check/tests/store_cache.rs`.
+//! Entries live in `Mutex<HashMap>` shards selected by the state key's
+//! low bits, so concurrent lookups of different states rarely contend.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use tpa_obs::{BptreeMap, Counter};
+use tpa_obs::Counter;
 use tpa_tso::{FxBuildHasher, StateKey};
 
 use crate::sleep::SleepSet;
@@ -44,7 +34,6 @@ use crate::sleep::SleepSet;
 /// visitation order.
 pub(crate) type Rank = Arc<[u32]>;
 
-#[derive(Clone)]
 struct CacheEntry {
     sleep: SleepSet,
     depth: u32,
@@ -61,46 +50,13 @@ impl CacheEntry {
     }
 }
 
-/// Updates one key's entry list for a visit at `(sleep, depth, rank)`.
-/// Returns `None` if an existing entry subsumes the visit (don't
-/// expand), otherwise `Some(evicted)` with the new entry pushed and
-/// every entry the visit subsumes removed. Shared by both backends so
-/// their subsumption behaviour cannot drift apart.
-fn admit(entries: &mut Vec<CacheEntry>, sleep: &SleepSet, depth: u32, rank: &Rank) -> Option<u64> {
-    if entries.iter().any(|e| e.subsumes(sleep, depth, rank)) {
-        return None;
-    }
-    // Drop entries the new visit subsumes, so per-key lists stay short.
-    let before = entries.len();
-    entries.retain(|e| {
-        !(depth <= e.depth && rank.as_ref() <= e.rank.as_ref() && sleep.is_subset(&e.sleep))
-    });
-    let evicted = (before - entries.len()) as u64;
-    entries.push(CacheEntry {
-        sleep: sleep.clone(),
-        depth,
-        rank: rank.clone(),
-    });
-    Some(evicted)
-}
-
-/// Storage strategy behind [`StateCache`].
-enum Backend {
-    /// Hash-sharded `Mutex<HashMap>`s; `mask` is `shards.len() - 1`
-    /// (the shard count is a power of two).
-    Sharded {
-        shards: Vec<Mutex<HashMap<StateKey, Vec<CacheEntry>, FxBuildHasher>>>,
-        mask: usize,
-    },
-    /// One transactional COW B+tree: snapshot reads, serialized writes.
-    Store(BptreeMap<u64, Vec<CacheEntry>>),
-}
-
 /// The concurrent visited-state cache.
 pub(crate) struct StateCache {
-    backend: Backend,
+    shards: Vec<Mutex<HashMap<StateKey, Vec<CacheEntry>, FxBuildHasher>>>,
+    /// `shards.len() - 1` (the shard count is a power of two).
+    mask: usize,
     /// Optional metric counting entries *evicted by subsumption* — the
-    /// work `admit` does that no aggregate stat exposed before.
+    /// work `try_visit` does that no aggregate stat exposed before.
     subsumed: Option<Counter>,
 }
 
@@ -111,20 +67,8 @@ impl StateCache {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         StateCache {
-            backend: Backend::Sharded {
-                shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
-                mask: n - 1,
-            },
-            subsumed: None,
-        }
-    }
-
-    /// A cache backed by the transactional run store's B+tree instead of
-    /// hash shards — the migration candidate ROADMAP item 4(b) asks us
-    /// to measure, selectable via `Checker::store_cache(true)`.
-    pub fn new_store() -> Self {
-        StateCache {
-            backend: Backend::Store(BptreeMap::new()),
+            shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
+            mask: n - 1,
             subsumed: None,
         }
     }
@@ -141,42 +85,25 @@ impl StateCache {
     /// it. Returns `true` if the caller should expand the node, `false`
     /// if the visit is covered.
     pub fn try_visit(&self, key: StateKey, sleep: &SleepSet, depth: u32, rank: &Rank) -> bool {
-        let evicted = match &self.backend {
-            Backend::Sharded { shards, mask } => {
-                let mut shard = shards[(key.0 as usize) & mask]
-                    .lock()
-                    .expect("state-cache shard poisoned");
-                let entries = shard.entry(key).or_default();
-                match admit(entries, sleep, depth, rank) {
-                    None => return false,
-                    Some(n) => n,
-                }
-            }
-            Backend::Store(map) => {
-                // Covered visits are the common case; answer them from a
-                // lock-free snapshot without queueing on the writer.
-                {
-                    let snap = map.read();
-                    if let Some(entries) = snap.get(&key.0) {
-                        if entries.iter().any(|e| e.subsumes(sleep, depth, rank)) {
-                            return false;
-                        }
-                    }
-                }
-                let mut txn = map.write();
-                // Re-check under the write lock: another worker may have
-                // committed a covering entry since the snapshot.
-                let mut entries = txn.get(&key.0).cloned().unwrap_or_default();
-                match admit(&mut entries, sleep, depth, rank) {
-                    None => return false, // dropping the txn rolls back
-                    Some(n) => {
-                        txn.insert(key.0, entries);
-                        txn.commit();
-                        n
-                    }
-                }
-            }
-        };
+        let mut shard = self.shards[(key.0 as usize) & self.mask]
+            .lock()
+            .expect("state-cache shard poisoned");
+        let entries = shard.entry(key).or_default();
+        if entries.iter().any(|e| e.subsumes(sleep, depth, rank)) {
+            return false;
+        }
+        // Drop entries the new visit subsumes, so per-key lists stay short.
+        let before = entries.len();
+        entries.retain(|e| {
+            !(depth <= e.depth && rank.as_ref() <= e.rank.as_ref() && sleep.is_subset(&e.sleep))
+        });
+        let evicted = (before - entries.len()) as u64;
+        entries.push(CacheEntry {
+            sleep: sleep.clone(),
+            depth,
+            rank: rank.clone(),
+        });
+        drop(shard);
         if evicted > 0 {
             if let Some(c) = &self.subsumed {
                 c.add(evicted);
@@ -203,19 +130,10 @@ impl StateCache {
                 .collect()
         };
         let mut out = Vec::new();
-        match &self.backend {
-            Backend::Sharded { shards, .. } => {
-                for shard in shards {
-                    let shard = shard.lock().expect("state-cache shard poisoned");
-                    for (key, entries) in shard.iter() {
-                        out.push((key.0, data(entries)));
-                    }
-                }
-            }
-            Backend::Store(map) => {
-                for (key, entries) in map.read().iter() {
-                    out.push((*key, data(entries)));
-                }
+        for shard in &self.shards {
+            let shard = shard.lock().expect("state-cache shard poisoned");
+            for (key, entries) in shard.iter() {
+                out.push((key.0, data(entries)));
             }
         }
         out.sort_by_key(|(k, _)| *k);
@@ -224,13 +142,10 @@ impl StateCache {
 
     /// Number of distinct states recorded.
     pub fn unique_states(&self) -> usize {
-        match &self.backend {
-            Backend::Sharded { shards, .. } => shards
-                .iter()
-                .map(|s| s.lock().expect("state-cache shard poisoned").len())
-                .sum(),
-            Backend::Store(map) => map.len(),
-        }
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("state-cache shard poisoned").len())
+            .sum()
     }
 }
 
@@ -251,101 +166,52 @@ mod tests {
         s
     }
 
-    /// Both backends, so every test pins the protocol on each.
-    fn backends() -> [StateCache; 2] {
-        [StateCache::new(1), StateCache::new_store()]
-    }
-
     #[test]
     fn first_visit_always_expands() {
-        for c in backends() {
-            assert!(c.try_visit(StateKey(7), &sleepers(&[]), 0, &rank(&[])));
-            assert_eq!(c.unique_states(), 1);
-        }
+        let c = StateCache::new(1);
+        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 0, &rank(&[])));
+        assert_eq!(c.unique_states(), 1);
     }
 
     #[test]
     fn subset_sleep_at_earlier_rank_subsumes() {
-        for c in backends() {
-            assert!(c.try_visit(StateKey(7), &sleepers(&[1]), 2, &rank(&[0, 1])));
-            // More asleep, deeper, later: covered.
-            assert!(!c.try_visit(StateKey(7), &sleepers(&[1, 2]), 3, &rank(&[0, 2])));
-            // Fewer asleep: must re-expand.
-            assert!(c.try_visit(StateKey(7), &sleepers(&[]), 3, &rank(&[0, 2])));
-        }
+        let c = StateCache::new(1);
+        assert!(c.try_visit(StateKey(7), &sleepers(&[1]), 2, &rank(&[0, 1])));
+        // More asleep, deeper, later: covered.
+        assert!(!c.try_visit(StateKey(7), &sleepers(&[1, 2]), 3, &rank(&[0, 2])));
+        // Fewer asleep: must re-expand.
+        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 3, &rank(&[0, 2])));
     }
 
     #[test]
     fn later_rank_entry_cannot_suppress_an_earlier_visit() {
-        for c in backends() {
-            assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
-            // Same state reached on a lexicographically earlier path — the
-            // deterministic-witness guarantee requires re-expansion.
-            assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[0, 5])));
-            // And now the later-rank revisit *is* covered by the earlier one.
-            assert!(!c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
-            assert_eq!(c.unique_states(), 1);
-        }
+        let c = StateCache::new(1);
+        assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
+        // Same state reached on a lexicographically earlier path — the
+        // deterministic-witness guarantee requires re-expansion.
+        assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[0, 5])));
+        // And now the later-rank revisit *is* covered by the earlier one.
+        assert!(!c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
+        assert_eq!(c.unique_states(), 1);
     }
 
     #[test]
     fn subsumption_evictions_are_counted() {
         let m = tpa_obs::Metrics::new();
-        for (i, base) in backends().into_iter().enumerate() {
-            let name = format!("cache.subsumed{i}");
-            let c = base.counting(Some(m.counter(&name)));
-            assert!(c.try_visit(StateKey(7), &sleepers(&[1, 2]), 4, &rank(&[2])));
-            assert_eq!(m.counter_value(&name), Some(0));
-            // A strictly stronger visit (fewer asleep, shallower, earlier)
-            // evicts the recorded one.
-            assert!(c.try_visit(StateKey(7), &sleepers(&[]), 2, &rank(&[1])));
-            assert_eq!(m.counter_value(&name), Some(1));
-        }
+        let c = StateCache::new(1).counting(Some(m.counter("cache.subsumed")));
+        assert!(c.try_visit(StateKey(7), &sleepers(&[1, 2]), 4, &rank(&[2])));
+        assert_eq!(m.counter_value("cache.subsumed"), Some(0));
+        // A strictly stronger visit (fewer asleep, shallower, earlier)
+        // evicts the recorded one.
+        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 2, &rank(&[1])));
+        assert_eq!(m.counter_value("cache.subsumed"), Some(1));
     }
 
     #[test]
     fn shallower_revisit_is_not_skipped() {
-        for c in backends() {
-            assert!(c.try_visit(StateKey(3), &sleepers(&[]), 5, &rank(&[0])));
-            // Same state, same sleep, but more remaining budget: expand.
-            assert!(c.try_visit(StateKey(3), &sleepers(&[]), 1, &rank(&[4])));
-        }
-    }
-
-    #[test]
-    fn backends_export_identical_images_under_identical_visits() {
-        let [a, b] = backends();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..2000 {
-            let key = StateKey(next() % 64);
-            let sleep = sleepers(&[(next() % 3) as u32]);
-            let depth = (next() % 8) as u32;
-            let rank = rank(&[(next() % 4) as u32, (next() % 4) as u32]);
-            assert_eq!(
-                a.try_visit(key, &sleep, depth, &rank),
-                b.try_visit(key, &sleep, depth, &rank)
-            );
-        }
-        assert_eq!(a.unique_states(), b.unique_states());
-        let (ea, eb) = (a.export(), b.export());
-        assert_eq!(ea.len(), eb.len());
-        for ((ka, va), (kb, vb)) in ea.iter().zip(&eb) {
-            assert_eq!(ka, kb);
-            let norm = |v: &Vec<crate::checkpoint::CacheEntryData>| {
-                let mut v: Vec<_> = v
-                    .iter()
-                    .map(|e| (e.sleep.clone(), e.depth, e.rank.clone()))
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(norm(va), norm(vb), "entry sets differ for key {ka}");
-        }
+        let c = StateCache::new(1);
+        assert!(c.try_visit(StateKey(3), &sleepers(&[]), 5, &rank(&[0])));
+        // Same state, same sleep, but more remaining budget: expand.
+        assert!(c.try_visit(StateKey(3), &sleepers(&[]), 1, &rank(&[4])));
     }
 }

@@ -336,7 +336,6 @@ pub struct Checker<'a> {
     metrics: Option<Arc<Metrics>>,
     ledger: Option<PathBuf>,
     scenario_id: Option<String>,
-    store_cache: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -384,7 +383,6 @@ impl<'a> Checker<'a> {
             metrics: None,
             ledger: None,
             scenario_id: None,
-            store_cache: false,
         }
     }
 
@@ -486,50 +484,9 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// Opt in to process-symmetry reduction for exhaustive search.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `features(Features::default().canonical())` (or `Features::full()`)"
-    )]
-    pub fn symmetry(mut self, on: bool) -> Self {
-        self.features.keys = if on {
-            StateKeys::Canonical
-        } else {
-            StateKeys::Concrete
-        };
-        self
-    }
-
-    /// Opt in to running the system's compiled bytecode instead of its
-    /// native programs.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `features(Features::default().compiled())` (or `Features::full()`)"
-    )]
-    pub fn vm(mut self, on: bool) -> Self {
-        self.features.execution = if on {
-            Execution::Compiled
-        } else {
-            Execution::Native
-        };
-        self
-    }
-
     /// The base seed for swarm schedules.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Backs the exhaustive search's visited-state cache with the
-    /// transactional B+tree run store instead of hash shards. Purely a
-    /// storage swap: verdict, witness, and state counts are identical
-    /// (pinned by `crates/check/tests/store_cache.rs`). Exists so the
-    /// ROADMAP 4(b) migration candidate can be measured on real
-    /// workloads; the default (`false`) is the faster choice for
-    /// write-heavy search traffic — see EXPERIMENTS.md.
-    pub fn store_cache(mut self, on: bool) -> Self {
-        self.store_cache = on;
         self
     }
 
@@ -726,7 +683,6 @@ impl<'a> Checker<'a> {
             max_transitions: self.max_transitions,
             max_crashes: self.max_crashes,
             deadline: self.deadline.map(|d| Instant::now() + d),
-            store_cache: self.store_cache,
         };
         let native = self.system.get();
         let compiled = if self.features.execution == Execution::Compiled {

@@ -42,13 +42,6 @@ pub struct ExploreConfig {
     /// Wall-clock deadline; when it passes, the search aborts with
     /// [`IncompleteReason::DeadlineExpired`].
     pub deadline: Option<std::time::Instant>,
-    /// Back the visited-state cache with the transactional B+tree store
-    /// instead of hash shards. Subsumption semantics (and therefore
-    /// verdicts, witnesses and state counts) are identical; this exists
-    /// so the ROADMAP 4(b) migration candidate can be measured on real
-    /// workloads. Default `false` — the shards win on write-heavy
-    /// search traffic (see EXPERIMENTS.md).
-    pub store_cache: bool,
 }
 
 impl Default for ExploreConfig {
@@ -58,7 +51,6 @@ impl Default for ExploreConfig {
             max_transitions: 20_000_000,
             max_crashes: 0,
             deadline: None,
-            store_cache: false,
         }
     }
 }

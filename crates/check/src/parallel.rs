@@ -382,13 +382,7 @@ pub(crate) fn run_exhaustive(
         }
     }
 
-    // Backend choice is pure storage: both implement the identical
-    // subsumption protocol, so the search result cannot depend on it.
-    let cache = if config.store_cache {
-        StateCache::new_store()
-    } else {
-        StateCache::new(if threads == 1 { 1 } else { threads * 8 })
-    };
+    let cache = StateCache::new(if threads == 1 { 1 } else { threads * 8 });
     let engine = Engine {
         invariants,
         config,
@@ -462,6 +456,7 @@ pub(crate) fn run_exhaustive(
     // which is what makes the snapshot sound without any in-band
     // synchronisation barrier.
     let mut emitted: Option<(String, PathBuf)> = None;
+    let mut provisional = false;
     loop {
         if threads == 1 {
             engine.worker_caught();
@@ -491,9 +486,15 @@ pub(crate) fn run_exhaustive(
             let mut st = engine.work.lock().expect("work queue poisoned");
             nodes.extend(st.queue.drain(..));
         }
-        if let Some(handle) = (hooks.emit)(engine.snapshot(&base, &nodes)) {
-            emitted = Some(handle);
-        }
+        let written = (hooks.emit)(engine.snapshot(&base, &nodes));
+        // With several workers, one may find a violation while another
+        // still holds a lexicographically smaller subtree. Such a
+        // candidate is not yet the least witness: it stays in the
+        // checkpoint for the resumed search to settle, and this leg
+        // reports incomplete.
+        provisional =
+            aborted && written.is_some() && nodes.iter().any(|n| engine.still_viable(&n.rank));
+        emitted = written.or(emitted);
         if aborted {
             break;
         }
@@ -555,6 +556,7 @@ pub(crate) fn run_exhaustive(
         .best
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .filter(|_| !provisional)
         .map(|c| c.found);
     ExhaustiveOutcome {
         found,

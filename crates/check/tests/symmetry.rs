@@ -98,7 +98,7 @@ fn canonical_state_count_is_stable_across_thread_counts() {
 }
 
 /// Negative control, fallback path: the fenceless bakery never declared
-/// symmetry, so `.symmetry(true)` is a no-op — and the deterministic
+/// symmetry, so `Features::default().canonical()` is a no-op — and the deterministic
 /// witness is bit-for-bit the concrete one.
 #[test]
 fn fenceless_bakery_witness_survives_the_symmetry_flag() {

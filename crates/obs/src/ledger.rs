@@ -23,15 +23,16 @@
 //! number — a collision can slow an append down, never silently
 //! overwrite a record.
 //!
-//! In memory the ledger is a [`crate::store::BptreeMap`] keyed by
-//! `(created_us, seq, id)`: the durable `index.jsonl` is replayed into
-//! it on open (and incrementally on read, so appends from other handles
-//! and processes surface), [`Ledger::append`] is a write transaction,
-//! and every read ([`Ledger::read_index`], `tpa_runs list|show|diff`)
-//! is a snapshot that no concurrent writer can tear. Old ledger
-//! directories (any index/record written since PR 8, lineage keys
-//! included) load unchanged — the store is a cache over the same
-//! on-disk format, not a new one.
+//! In memory the ledger is one `Mutex` around a `BTreeMap` keyed by
+//! `(created_us, seq, id)` and the replay cursor over `index.jsonl`: the
+//! durable index is replayed into the map on open and incrementally on
+//! every read (so appends from other handles and processes surface),
+//! and [`Ledger::append`] inserts its own entry under the same lock.
+//! Reads ([`Ledger::read_index`], `tpa_runs list|show|diff`) copy the
+//! entries into an owned `Vec` while holding the lock, so no concurrent
+//! writer can tear them. The map is only a cache over the on-disk
+//! format: ledger directories written by earlier builds (lineage keys
+//! included) load unchanged.
 //!
 //! This crate sits below `tpa-check` in the workspace graph, so the
 //! record speaks in plain strings and counter maps; the checker's
@@ -48,7 +49,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::{parse, Json};
 use crate::metrics::MetricsSnapshot;
-use crate::store::BptreeMap;
 
 /// The current `RunRecord` envelope version; bump on breaking shape
 /// changes so old ledgers stay readable by version sniffing.
@@ -426,8 +426,9 @@ pub struct IndexEntry {
 /// What [`Ledger::read_index_with_health`] had to skip or repair while
 /// assembling the index view: lines it could not parse (torn concurrent
 /// writes, hand-editing damage) and ids that appeared more than once
-/// (the pre-store append bug, or hand-merged ledgers). `tpa_runs list`
-/// surfaces these instead of silently hiding them.
+/// (ledgers written before the `create_new` id claim, or hand-merged
+/// ones). `tpa_runs list` surfaces these instead of silently hiding
+/// them.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct IndexHealth {
     /// Index lines that failed to parse or lacked the `id`/`path` fields.
@@ -445,7 +446,7 @@ impl IndexHealth {
     }
 }
 
-/// The store key for one index entry: creation order made explicit.
+/// The index key for one entry: creation order made explicit.
 /// Ordering by `(created_us, seq, id)` — timestamp, then the minting
 /// handle's sequence number, then the full id as an unambiguous
 /// tie-break — is what `tpa_runs diff` means by "latest": it does not
@@ -498,9 +499,10 @@ fn parse_index_line(line: &str) -> Option<IndexEntry> {
 }
 
 /// Incremental-replay cursor over `index.jsonl`.
+#[derive(Default)]
 struct ReplayState {
     /// Byte offset up to which the index has been replayed into the
-    /// store. Only ever advanced past *complete* (newline-terminated)
+    /// map. Only ever advanced past *complete* (newline-terminated)
     /// lines, so a torn in-progress write is re-examined next time.
     offset: u64,
     /// Complete lines that failed to parse — counted once, when first
@@ -511,78 +513,33 @@ struct ReplayState {
     dups: u64,
 }
 
-/// A ledger directory handle. Creating one creates the directory (and
-/// `runs/`) if missing; appending assigns ids and timestamps.
-///
-/// Internally the index is a [`BptreeMap`] keyed by creation order (see
-/// [`RunKey`]): [`Ledger::append`] commits a write transaction per run,
-/// and every read is a point-in-time snapshot — a reader that raced a
-/// writer sees either all of an append or none of it, never a torn
-/// entry. The durable format on disk is unchanged; the store replays
-/// `index.jsonl` on open and incrementally on read, so appends made by
-/// other handles or other processes surface too.
-pub struct Ledger {
-    dir: PathBuf,
-    seq: AtomicU64,
-    store: BptreeMap<RunKey, IndexEntry>,
-    replay: Mutex<ReplayState>,
+/// The in-memory index: every replayed entry in creation order, and the
+/// cursor saying how far `index.jsonl` has been replayed into it.
+#[derive(Default)]
+struct Index {
+    replay: ReplayState,
+    entries: BTreeMap<RunKey, IndexEntry>,
 }
 
-impl Ledger {
-    /// Opens (creating if needed) the ledger at `dir` and replays any
-    /// existing `index.jsonl` into the in-memory store.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the directory cannot be created or an existing index
-    /// cannot be read (unparseable *lines* are skipped and counted, but
-    /// an unreadable *file* is an error).
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        fs::create_dir_all(dir.join("runs"))?;
-        let ledger = Ledger {
-            dir: dir.to_path_buf(),
-            seq: AtomicU64::new(0),
-            store: BptreeMap::new(),
-            replay: Mutex::new(ReplayState {
-                offset: 0,
-                torn: 0,
-                dups: 0,
-            }),
-        };
-        ledger.refresh()?;
-        Ok(ledger)
-    }
-
-    /// The ledger directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Replays index lines appended since the last replay into the
-    /// store (one write transaction per batch). If the index shrank —
-    /// someone rewrote it by hand — the store is rebuilt from scratch.
-    fn refresh(&self) -> io::Result<()> {
-        let mut replay = self.replay.lock().unwrap_or_else(|e| e.into_inner());
-        let path = self.dir.join("index.jsonl");
-        let mut file = match File::open(&path) {
+impl Index {
+    /// Replays the lines appended to `<dir>/index.jsonl` since the last
+    /// replay. If the file shrank — someone rewrote it by hand — the map
+    /// is rebuilt from scratch.
+    fn refresh(&mut self, dir: &Path) -> io::Result<()> {
+        let mut file = match File::open(dir.join("index.jsonl")) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
         let len = file.metadata()?.len();
-        let mut txn = self.store.write();
-        if len < replay.offset {
+        if len < self.replay.offset {
             // The file shrank under us: replay everything again.
-            txn.clear();
-            replay.offset = 0;
-            replay.torn = 0;
-            replay.dups = 0;
+            *self = Index::default();
         }
-        if len == replay.offset {
-            txn.commit(); // publishes the rebuild when the file shrank to empty
+        if len == self.replay.offset {
             return Ok(());
         }
-        file.seek(SeekFrom::Start(replay.offset))?;
+        file.seek(SeekFrom::Start(self.replay.offset))?;
         let mut text = String::new();
         file.read_to_string(&mut text)?;
         // Only newline-terminated lines are consumed; a trailing partial
@@ -593,38 +550,85 @@ impl Ledger {
                 continue;
             }
             let Some(entry) = parse_index_line(line) else {
-                replay.torn += 1;
+                self.replay.torn += 1;
                 continue;
             };
             let key = RunKey::of(&entry);
-            match txn.get(&key) {
+            match self.entries.get(&key) {
                 // Same line replayed twice (e.g. our own append): no-op.
                 Some(prev) if *prev == entry => {}
                 // A different line under the same key: keep the one
                 // whose record file exists, and count the duplicate
                 // (read_index applies the same rule across keys).
                 Some(prev) => {
-                    let prev_exists = self.dir.join(&prev.path).is_file();
-                    let new_exists = self.dir.join(&entry.path).is_file();
+                    let prev_exists = dir.join(&prev.path).is_file();
+                    let new_exists = dir.join(&entry.path).is_file();
                     if new_exists && !prev_exists {
-                        txn.insert(key, entry);
+                        self.entries.insert(key, entry);
                     }
-                    replay.dups += 1;
+                    self.replay.dups += 1;
                 }
                 None => {
-                    txn.insert(key, entry);
+                    self.entries.insert(key, entry);
                 }
             }
         }
-        txn.commit();
-        replay.offset += complete as u64;
+        self.replay.offset += complete as u64;
         Ok(())
+    }
+}
+
+/// A ledger directory handle. Creating one creates the directory (and
+/// `runs/`) if missing; appending assigns ids and timestamps.
+///
+/// The in-memory [`Index`] sits behind one mutex, and every operation
+/// on it — replaying `index.jsonl`, inserting an append, copying a read
+/// out — takes that lock once. A reader racing a writer therefore sees
+/// either all of an append or none of it, and the entries and
+/// [`IndexHealth`] a read returns always come from the same replay
+/// point. Appends made by other handles or other processes surface on
+/// the next read.
+pub struct Ledger {
+    dir: PathBuf,
+    seq: AtomicU64,
+    index: Mutex<Index>,
+}
+
+impl Ledger {
+    /// Opens (creating if needed) the ledger at `dir` and replays any
+    /// existing `index.jsonl` into memory.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the directory cannot be created or an existing index
+    /// cannot be read (unparseable *lines* are skipped and counted, but
+    /// an unreadable *file* is an error).
+    pub fn open(dir: &Path) -> io::Result<Self> {
+        fs::create_dir_all(dir.join("runs"))?;
+        let mut index = Index::default();
+        index.refresh(dir)?;
+        Ok(Ledger {
+            dir: dir.to_path_buf(),
+            seq: AtomicU64::new(0),
+            index: Mutex::new(index),
+        })
+    }
+
+    /// The ledger directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Locks the index. A panic mid-update leaves it usable (at worst a
+    /// few lines are replayed again), so a poisoned lock is recovered.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Index> {
+        self.index.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Appends `record` to the ledger: claims an id (see module docs),
     /// writes `runs/<id>.json` (temp + rename over the claimed file),
-    /// appends the index line, and commits the entry into the in-memory
-    /// store as one write transaction. Returns the assigned id.
+    /// appends the index line, and inserts the entry into the in-memory
+    /// index. Returns the assigned id.
     ///
     /// # Errors
     ///
@@ -698,10 +702,9 @@ impl Ledger {
         text.push('\n');
         index.write_all(text.as_bytes())?;
 
-        // Commit the entry into the in-memory store so this handle's
-        // snapshots see the append immediately; the replay cursor will
-        // later walk over our own index line and no-op on the equal
-        // entry.
+        // Insert the entry into the in-memory index so this handle's
+        // reads see the append immediately; the replay cursor will later
+        // walk over our own index line and no-op on the equal entry.
         let entry = IndexEntry {
             id: id.clone(),
             created_us: now,
@@ -714,8 +717,7 @@ impl Ledger {
             resumed_from: record.resumed_from.clone(),
             path: rel,
         };
-        let mut txn = self.store.write();
-        txn.insert(
+        self.lock().entries.insert(
             RunKey {
                 created_us: now,
                 seq,
@@ -723,7 +725,6 @@ impl Ledger {
             },
             entry,
         );
-        txn.commit();
         Ok(id)
     }
 
@@ -745,27 +746,24 @@ impl Ledger {
     /// [`Ledger::read_index`], plus the [`IndexHealth`] counters saying
     /// how many torn lines were skipped and duplicate ids collapsed.
     ///
-    /// The view is a point-in-time snapshot of the store (refreshed
-    /// from disk first, so other handles' and processes' appends are
-    /// included): a writer committing concurrently is either entirely
-    /// visible or entirely absent. When one id appears under several
-    /// entries, the entry whose record file exists wins — the id
-    /// collision this repairs used to leave exactly one file behind.
+    /// The index is refreshed from disk first (so other handles' and
+    /// processes' appends are included) and copied out under the same
+    /// lock: a concurrent append is either entirely visible or entirely
+    /// absent, and the health counts describe exactly the entries
+    /// returned. When one id appears under several entries, the entry
+    /// whose record file exists wins — the id collision this repairs
+    /// used to leave exactly one file behind.
     ///
     /// # Errors
     ///
     /// Fails only if the index file exists but cannot be read.
     pub fn read_index_with_health(&self) -> io::Result<(Vec<IndexEntry>, IndexHealth)> {
-        self.refresh()?;
-        let snapshot = self.store.read();
-        let (torn, replay_dups) = {
-            let replay = self.replay.lock().unwrap_or_else(|e| e.into_inner());
-            (replay.torn, replay.dups)
-        };
-        let mut out: Vec<IndexEntry> = Vec::with_capacity(snapshot.len());
+        let mut index = self.lock();
+        index.refresh(&self.dir)?;
+        let mut out: Vec<IndexEntry> = Vec::with_capacity(index.entries.len());
         let mut by_id: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let mut duplicates = replay_dups;
-        for (_, entry) in snapshot.iter() {
+        let mut duplicates = index.replay.dups;
+        for entry in index.entries.values() {
             match by_id.get(&entry.id) {
                 Some(&i) => {
                     duplicates += 1;
@@ -784,7 +782,7 @@ impl Ledger {
         Ok((
             out,
             IndexHealth {
-                torn_lines: torn,
+                torn_lines: index.replay.torn,
                 duplicate_ids: duplicates,
             },
         ))
@@ -1036,9 +1034,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A snapshot read taken from one handle while another handle
-    /// appends is frozen: it sees a prefix of the appends, and a
-    /// re-read sees everything.
+    /// A read taken from one handle while another handle appends is an
+    /// owned copy: it keeps what it saw, and a re-read sees everything.
     #[test]
     fn reads_are_snapshots_and_new_reads_see_new_appends() {
         let dir = std::env::temp_dir().join(format!("tpa-ledger-snap-{}", std::process::id()));

@@ -38,7 +38,6 @@ pub mod perfetto;
 pub mod probe;
 pub mod recorder;
 pub mod schema;
-pub mod store;
 
 pub use ledger::{EnvFingerprint, IndexEntry, IndexHealth, Ledger, RunRecord, RUN_RECORD_VERSION};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
@@ -47,4 +46,3 @@ pub use probe::{
     SimKind, SimStep, WorkerSnapshot,
 };
 pub use recorder::Recorder;
-pub use store::BptreeMap;

@@ -138,10 +138,11 @@ pub trait System: Send + Sync {
     }
 
     /// Compiles the whole system to bytecode, if a compiler exists for
-    /// it. `Checker::vm(true)` calls this and points the search at the
-    /// compiled system; the returned [`VmSystem`] must be observationally
-    /// identical (same name, variable layout, symmetry claim, and
-    /// state-for-state behaviour — the VM differential suite pins this).
+    /// it. The checker calls this under `Execution::Compiled` and points
+    /// the search at the compiled system; the returned [`VmSystem`] must
+    /// be observationally identical (same name, variable layout, symmetry
+    /// claim, and state-for-state behaviour — the VM differential suite
+    /// pins this).
     /// The default returns `None`: the checker then falls back to the
     /// native programs.
     fn compile_vm(&self) -> Option<VmSystem> {

@@ -33,10 +33,9 @@
 #      `tpa_runs diff` gated on zero regressions; a deliberate
 #      `--threads` change surfacing as an env-fingerprint difference
 #      (and only that); record/report/snapshot schema validation
-#  11. the transactional run store: the pinned snapshot-isolation test
-#      (4 reader threads racing a committing write transaction), the
-#      N-writer x M-reader stress over thousands of keys, and the
-#      store-vs-sharded state-cache differential
+#  11. ledger concurrency: 4 appender threads over two `Ledger` handles
+#      racing 4 reader threads on a shared handle — every read ordered,
+#      duplicate-free, health-clean, and listing only loadable records
 #  12. concurrent ledger: the litmus corpus written into a ledger while
 #      a background `tpa_runs list` loop reads it the whole time — zero
 #      read errors, zero torn/duplicate warnings, and a zero-regression
@@ -150,14 +149,8 @@ FIRST_RECORD="${RUN_RECORDS[0]}"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --record "$FIRST_RECORD"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --metrics "$SCRATCH/metrics.json"
 
-echo "== [11/14] run store: snapshot isolation + writer/reader stress =="
-# The transactional B+tree behind the ledger: the pinned
-# snapshot-isolation test (4 readers racing a committing writer), the
-# N-writer x M-reader stress over thousands of keys, and the
-# store-vs-sharded state-cache differential (identical verdicts,
-# witnesses and state counts through Checker::store_cache(true)).
-time t cargo test --offline --release -q --test store_props
-t cargo test --offline --release -q -p tpa-check --test store_cache
+echo "== [11/14] ledger concurrency: appenders racing readers in one process =="
+time t cargo test --offline --release -q --test ledger_concurrency
 
 echo "== [12/14] concurrent ledger: corpus writes racing a tpa_runs list loop =="
 CLEDGER="$SCRATCH/ledger-concurrent"

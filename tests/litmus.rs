@@ -208,7 +208,7 @@ fn iriw_is_forbidden_under_tso() {
 // ---------------------------------------------------------------------------
 // Classic named litmus shapes (IRIW, R, 2+2W, S) as scripts, pushed through
 // the exhaustive checker on BOTH execution paths — native `ScriptProgram`s
-// and the compiled bytecode VM (`Checker::vm(true)`). For every shape the
+// and the compiled bytecode VM (`Execution::Compiled`). For every shape the
 // two paths must agree exactly: same verdict, same unique-state count on a
 // pass, same lexicographically-least witness on a violation. Under TSO all
 // four forbidden outcomes are unreachable; under PSO (per-variable buffers,
