@@ -51,11 +51,11 @@ fn bench_probe_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The metrics fast path: a whole exhaustive search with no registry
-/// attached (one `Option` check per site) vs a live [`tpa_obs::Metrics`]
-/// registry (the check plus one relaxed atomic op per event). The gap is
-/// the per-run price of `TPA_OBS_METRICS` / the run ledger — the
-/// "relaxed counters are free" claim in DESIGN.md.
+/// The metrics path: a whole exhaustive search with no registry attached
+/// vs a live [`tpa_obs::Metrics`] registry, which each worker writes
+/// from its own counters when it reports (every 512 expansions and on
+/// retirement). The gap is the per-run price of `TPA_OBS_METRICS` / the
+/// run ledger.
 fn bench_metrics_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_overhead");
     group.sample_size(20);

@@ -68,14 +68,7 @@ pub fn probe_from_env() -> Option<Arc<Recorder>> {
         trace.as_deref().map(Path::new),
         heartbeat,
     ) {
-        Ok(recorder) => {
-            // With a registry in play the heartbeat can report live
-            // states/s and cache hit rate instead of snapshot totals.
-            if let Some(m) = env_metrics() {
-                recorder.set_metrics(m);
-            }
-            Some(Arc::new(recorder))
-        }
+        Ok(recorder) => Some(Arc::new(recorder)),
         Err(e) => {
             eprintln!("[obs] telemetry disabled: {e}");
             None

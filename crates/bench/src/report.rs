@@ -163,7 +163,12 @@ impl ToJson for tpa_check::WorkerStats {
             ("cache_misses", self.cache_misses.to_json()),
             ("sleep_prunes", self.sleep_prunes.to_json()),
             ("donated", self.donated.to_json()),
+            ("steals", self.steals.to_json()),
             ("max_frontier", self.max_frontier.to_json()),
+            ("truncated_paths", self.truncated_paths.to_json()),
+            ("max_depth", self.max_depth.to_json()),
+            ("cache_subsumed", self.cache_subsumed.to_json()),
+            ("sym_renamed", self.sym_renamed.to_json()),
         ])
     }
 }

@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use tpa_obs::Counter;
 use tpa_tso::{FxBuildHasher, StateKey};
 
 use crate::sleep::SleepSet;
@@ -55,9 +54,6 @@ pub(crate) struct StateCache {
     shards: Vec<Mutex<HashMap<StateKey, Vec<CacheEntry>, FxBuildHasher>>>,
     /// `shards.len() - 1` (the shard count is a power of two).
     mask: usize,
-    /// Optional metric counting entries *evicted by subsumption* — the
-    /// work `try_visit` does that no aggregate stat exposed before.
-    subsumed: Option<Counter>,
 }
 
 impl StateCache {
@@ -69,28 +65,26 @@ impl StateCache {
         StateCache {
             shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
             mask: n - 1,
-            subsumed: None,
         }
     }
 
-    /// This cache, reporting subsumption evictions to `counter` (when
-    /// given). The counter is bumped once per eviction batch — not per
-    /// lookup.
-    pub fn counting(mut self, counter: Option<Counter>) -> Self {
-        self.subsumed = counter;
-        self
-    }
-
     /// Records a visit to `key` unless an already-recorded visit subsumes
-    /// it. Returns `true` if the caller should expand the node, `false`
-    /// if the visit is covered.
-    pub fn try_visit(&self, key: StateKey, sleep: &SleepSet, depth: u32, rank: &Rank) -> bool {
+    /// it. Returns `None` if the visit is covered; otherwise the caller
+    /// should expand the node, and gets the number of recorded entries
+    /// the new visit evicted by subsuming them.
+    pub fn try_visit(
+        &self,
+        key: StateKey,
+        sleep: &SleepSet,
+        depth: u32,
+        rank: &Rank,
+    ) -> Option<u64> {
         let mut shard = self.shards[(key.0 as usize) & self.mask]
             .lock()
             .expect("state-cache shard poisoned");
         let entries = shard.entry(key).or_default();
         if entries.iter().any(|e| e.subsumes(sleep, depth, rank)) {
-            return false;
+            return None;
         }
         // Drop entries the new visit subsumes, so per-key lists stay short.
         let before = entries.len();
@@ -103,13 +97,7 @@ impl StateCache {
             depth,
             rank: rank.clone(),
         });
-        drop(shard);
-        if evicted > 0 {
-            if let Some(c) = &self.subsumed {
-                c.add(evicted);
-            }
-        }
-        true
+        Some(evicted)
     }
 
     /// Every live entry, grouped by state key and sorted by key — the
@@ -154,64 +142,59 @@ mod tests {
     use super::*;
     use tpa_tso::{Directive, ProcId};
 
-    fn rank(v: &[u32]) -> Rank {
-        Arc::from(v)
-    }
-
-    fn sleepers(ps: &[u32]) -> SleepSet {
-        let mut s = SleepSet::empty();
-        for &p in ps {
-            s.insert(Directive::Issue(ProcId(p)));
+    /// `c.try_visit` of state `key` with `asleep` processes' issues
+    /// asleep.
+    fn visit(c: &StateCache, key: u64, asleep: &[u32], depth: u32, rank: &[u32]) -> Option<u64> {
+        let mut sleep = SleepSet::empty();
+        for &p in asleep {
+            sleep.insert(Directive::Issue(ProcId(p)));
         }
-        s
+        c.try_visit(StateKey(key), &sleep, depth, &Arc::from(rank))
     }
 
     #[test]
     fn first_visit_always_expands() {
         let c = StateCache::new(1);
-        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 0, &rank(&[])));
+        assert_eq!(visit(&c, 7, &[], 0, &[]), Some(0));
         assert_eq!(c.unique_states(), 1);
     }
 
     #[test]
     fn subset_sleep_at_earlier_rank_subsumes() {
         let c = StateCache::new(1);
-        assert!(c.try_visit(StateKey(7), &sleepers(&[1]), 2, &rank(&[0, 1])));
+        assert_eq!(visit(&c, 7, &[1], 2, &[0, 1]), Some(0));
         // More asleep, deeper, later: covered.
-        assert!(!c.try_visit(StateKey(7), &sleepers(&[1, 2]), 3, &rank(&[0, 2])));
+        assert_eq!(visit(&c, 7, &[1, 2], 3, &[0, 2]), None);
         // Fewer asleep: must re-expand.
-        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 3, &rank(&[0, 2])));
+        assert!(visit(&c, 7, &[], 3, &[0, 2]).is_some());
     }
 
     #[test]
     fn later_rank_entry_cannot_suppress_an_earlier_visit() {
         let c = StateCache::new(1);
-        assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
+        assert_eq!(visit(&c, 9, &[], 2, &[1, 0]), Some(0));
         // Same state reached on a lexicographically earlier path — the
         // deterministic-witness guarantee requires re-expansion.
-        assert!(c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[0, 5])));
+        assert!(visit(&c, 9, &[], 2, &[0, 5]).is_some());
         // And now the later-rank revisit *is* covered by the earlier one.
-        assert!(!c.try_visit(StateKey(9), &sleepers(&[]), 2, &rank(&[1, 0])));
+        assert_eq!(visit(&c, 9, &[], 2, &[1, 0]), None);
         assert_eq!(c.unique_states(), 1);
     }
 
     #[test]
     fn subsumption_evictions_are_counted() {
-        let m = tpa_obs::Metrics::new();
-        let c = StateCache::new(1).counting(Some(m.counter("cache.subsumed")));
-        assert!(c.try_visit(StateKey(7), &sleepers(&[1, 2]), 4, &rank(&[2])));
-        assert_eq!(m.counter_value("cache.subsumed"), Some(0));
+        let c = StateCache::new(1);
+        assert_eq!(visit(&c, 7, &[1, 2], 4, &[2]), Some(0));
         // A strictly stronger visit (fewer asleep, shallower, earlier)
         // evicts the recorded one.
-        assert!(c.try_visit(StateKey(7), &sleepers(&[]), 2, &rank(&[1])));
-        assert_eq!(m.counter_value("cache.subsumed"), Some(1));
+        assert_eq!(visit(&c, 7, &[], 2, &[1]), Some(1));
     }
 
     #[test]
     fn shallower_revisit_is_not_skipped() {
         let c = StateCache::new(1);
-        assert!(c.try_visit(StateKey(3), &sleepers(&[]), 5, &rank(&[0])));
+        assert_eq!(visit(&c, 3, &[], 5, &[0]), Some(0));
         // Same state, same sleep, but more remaining budget: expand.
-        assert!(c.try_visit(StateKey(3), &sleepers(&[]), 1, &rank(&[4])));
+        assert!(visit(&c, 3, &[], 1, &[4]).is_some());
     }
 }

@@ -36,9 +36,9 @@ use tpa_tso::{Machine, MemoryModel, ProcId, SymmetryGroup, System};
 use crate::checkpoint::{self, Checkpoint, CheckpointError, Fingerprint};
 use crate::explore::{enabled_all, ExploreConfig, IncompleteReason};
 use crate::invariant::{standard_invariants, Invariant};
-use crate::parallel::{run_exhaustive, CheckpointHooks, ResumeSeed, SearchMetrics, SnapshotData};
+use crate::parallel::{run_exhaustive, CheckpointHooks, ResumeSeed, SnapshotData};
 use crate::swarm::{run_swarm, SwarmConfig};
-use crate::verdict::{condemn, EffortStats, Report, Verdict};
+use crate::verdict::{condemn, Report, Verdict};
 
 /// Default size of the deadline-degradation swarm fallback
 /// ([`Checker::fallback_schedules`]). Small on purpose: the fallback
@@ -56,6 +56,22 @@ fn model_tag(model: MemoryModel) -> &'static str {
         MemoryModel::Tso => "tso",
         MemoryModel::Pso => "pso",
     }
+}
+
+/// Records a finished search's bytecode-VM metrics: program size and
+/// dispatched transitions when it ran compiled, and the decoder's
+/// process-wide counters.
+fn record_vm(m: &Metrics, compiled: Option<&tpa_tso::VmSystem>, transitions: u64) {
+    if let Some(vm) = compiled {
+        let instrs: u64 = (0..vm.n())
+            .map(|p| vm.bytecode(ProcId(p as u32)).code.len() as u64)
+            .sum();
+        m.gauge("vm.code_instrs").set(instrs);
+        m.counter("vm.dispatch_transitions").add(transitions);
+    }
+    let (calls, decoded) = tpa_tso::bytecode::decode_counters();
+    m.gauge("vm.decode_calls").set(calls);
+    m.gauge("vm.decoded_instrs").set(decoded);
 }
 
 /// Dynamically validates a system's claimed pid-symmetry before the
@@ -397,12 +413,13 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// Attaches a [`Metrics`] registry. The search resolves its handles
-    /// once at run start and increments them at the same sites as its
-    /// existing aggregate counters (single relaxed atomic ops), so the
-    /// registry never influences the verdict, witness, or state counts —
-    /// pinned by the metrics differential suite. Share one registry
-    /// across runs to accumulate, or pass a fresh one per run.
+    /// Attaches a [`Metrics`] registry. Each search worker counts its
+    /// effort in its own [`crate::WorkerStats`] and writes what it
+    /// gained into the registry when it sends a probe snapshot and when
+    /// it retires, so the registry never influences the verdict,
+    /// witness, or state counts — pinned by the metrics differential
+    /// suite. Share one registry across runs to accumulate, or pass a
+    /// fresh one per run.
     pub fn metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -695,7 +712,6 @@ impl<'a> Checker<'a> {
             None => native,
         };
         let registry = self.registry();
-        let search_metrics = registry.as_deref().map(SearchMetrics::resolve);
         let group = if self.features.keys == StateKeys::Canonical && system.symmetric() {
             let g = SymmetryGroup::for_spec(&system.vars(), system.n());
             let engaged = !g.is_trivial() && {
@@ -786,7 +802,7 @@ impl<'a> Checker<'a> {
             self.threads,
             self.probe.as_deref(),
             group.as_ref(),
-            search_metrics.as_ref(),
+            registry.as_deref(),
             seed,
             hooks.as_ref(),
         );
@@ -819,7 +835,7 @@ impl<'a> Checker<'a> {
                 self.threads,
                 None,
                 None,
-                search_metrics.as_ref(),
+                registry.as_deref(),
             );
             fallback_note = format!(
                 "; fallback swarm ran {} schedules ({} transitions) without finding a violation",
@@ -841,16 +857,7 @@ impl<'a> Checker<'a> {
             });
         }
         if let Some(m) = &registry {
-            if let Some(vm) = &compiled {
-                let instrs: u64 = (0..vm.n())
-                    .map(|p| vm.bytecode(ProcId(p as u32)).code.len() as u64)
-                    .sum();
-                m.gauge("vm.code_instrs").set(instrs);
-                m.counter("vm.dispatch_transitions").add(stats.transitions);
-            }
-            let (calls, decoded) = tpa_tso::bytecode::decode_counters();
-            m.gauge("vm.decode_calls").set(calls);
-            m.gauge("vm.decoded_instrs").set(decoded);
+            record_vm(m, compiled.as_ref(), stats.transitions);
         }
         let verdict = if found.is_none() {
             match &stats.incomplete {
@@ -882,7 +889,7 @@ impl<'a> Checker<'a> {
             fallback_schedules,
             wall,
             verdict,
-            stats: stats.into(),
+            stats,
             workers,
         };
         self.record_run(
@@ -932,7 +939,6 @@ impl<'a> Checker<'a> {
             None => native,
         };
         let registry = self.registry();
-        let search_metrics = registry.as_deref().map(SearchMetrics::resolve);
         if let Some(probe) = &self.probe {
             probe.run_start(&RunInfo {
                 algo: system.name().to_string(),
@@ -952,34 +958,25 @@ impl<'a> Checker<'a> {
             self.threads,
             self.deadline.map(|d| Instant::now() + d),
             self.probe.as_deref(),
-            search_metrics.as_ref(),
+            registry.as_deref(),
         );
+        let stats = outcome.stats;
         let wall = start.elapsed();
         if let Some(probe) = &self.probe {
             probe.run_finish(&RunSummary {
                 algo: system.name().to_string(),
                 mode: "swarm",
-                passed: outcome.found.is_none() && outcome.incomplete.is_none(),
+                passed: outcome.found.is_none() && stats.incomplete.is_none(),
                 complete: false,
-                transitions: outcome.stats.transitions,
+                transitions: stats.transitions,
                 unique_states: None,
                 wall_us: wall.as_micros() as u64,
             });
         }
         if let Some(m) = &registry {
-            if let Some(vm) = &compiled {
-                let instrs: u64 = (0..vm.n())
-                    .map(|p| vm.bytecode(ProcId(p as u32)).code.len() as u64)
-                    .sum();
-                m.gauge("vm.code_instrs").set(instrs);
-                m.counter("vm.dispatch_transitions")
-                    .add(outcome.stats.transitions);
-            }
-            let (calls, decoded) = tpa_tso::bytecode::decode_counters();
-            m.gauge("vm.decode_calls").set(calls);
-            m.gauge("vm.decoded_instrs").set(decoded);
+            record_vm(m, compiled.as_ref(), stats.transitions);
         }
-        let verdict = match (outcome.found, &outcome.incomplete) {
+        let verdict = match (outcome.found, &stats.incomplete) {
             (Some(found), _) => condemn(
                 system,
                 self.model,
@@ -990,16 +987,12 @@ impl<'a> Checker<'a> {
             (None, Some(reason)) => Verdict::Incomplete {
                 reason: format!(
                     "{reason} after {} of {} schedules ({} transitions)",
-                    outcome.stats.schedules_run, schedules, outcome.stats.transitions
+                    stats.schedules_run, schedules, stats.transitions
                 ),
                 checkpoint: None,
             },
             (None, None) => Verdict::Pass,
         };
-        let mut stats: EffortStats = outcome.stats.into();
-        // A panic or expired deadline is recorded even when a violation
-        // still surfaced: the effort stats must say the run was cut short.
-        stats.incomplete = outcome.incomplete;
         let report = Report {
             algo: system.name().to_string(),
             model: self.model,

@@ -20,7 +20,7 @@
 //! Both reductions are sound for state predicates: every reachable state
 //! within the bound is reached by at least one explored schedule. The
 //! engine itself lives in [`crate::parallel`]; this module keeps the
-//! configuration/statistics types. The search is driven through
+//! configuration types. The search is driven through
 //! [`Checker`](crate::Checker).
 
 use tpa_tso::{Directive, Machine, ProcId};
@@ -33,7 +33,7 @@ pub struct ExploreConfig {
     /// Maximum schedule length (search depth).
     pub max_steps: usize,
     /// Global budget on executed transitions; exceeding it aborts the
-    /// search with [`ExploreStats::complete`]` == false`.
+    /// search with [`EffortStats::complete`](crate::EffortStats)` == false`.
     pub max_transitions: u64,
     /// Crash budget: how many [`Directive::Crash`] moves the explorer may
     /// enumerate per schedule. The default 0 disables the fault model —
@@ -56,7 +56,8 @@ impl Default for ExploreConfig {
 }
 
 /// Why an exhaustive search stopped short of covering its whole bounded
-/// space. `None` in [`ExploreStats::incomplete`] means full coverage.
+/// space. `None` in [`crate::EffortStats::incomplete`] means full
+/// coverage.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum IncompleteReason {
     /// The global transition budget ([`ExploreConfig::max_transitions`])
@@ -97,25 +98,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_owned()
     }
-}
-
-/// Search effort counters, exposed for experiment tables and smoke tests.
-#[derive(Clone, Default, Debug)]
-pub struct ExploreStats {
-    /// Machine steps actually executed.
-    pub transitions: u64,
-    /// Directives skipped because they were asleep.
-    pub pruned_sleep: u64,
-    /// Node visits cut off by the state cache.
-    pub cache_skips: u64,
-    /// Distinct state hashes seen.
-    pub unique_states: usize,
-    /// Paths cut off by the depth bound.
-    pub truncated_paths: u64,
-    /// Whether the search ran to completion (no abort of any kind).
-    pub complete: bool,
-    /// Why the search aborted, when `complete` is false.
-    pub incomplete: Option<IncompleteReason>,
 }
 
 /// A violating schedule as found (pre-shrinking).

@@ -58,11 +58,11 @@ pub mod verdict;
 
 pub use checker::{Checker, Execution, Features, Scenario, ScenarioError, StateKeys};
 pub use checkpoint::{Checkpoint, CheckpointError, FailpointWriter, Section, WriteFault};
-pub use explore::{enabled_all, ExploreConfig, ExploreStats, FoundViolation, IncompleteReason};
+pub use explore::{enabled_all, ExploreConfig, FoundViolation, IncompleteReason};
 pub use invariant::{crash_invariants, standard_invariants, Invariant, Violation};
 pub use parallel::{default_threads, WorkerStats};
 pub use scenario::{
     battery, run_checks, run_checks_opts, ClauseOutcome, ForbiddenState, RunOptions,
 };
-pub use swarm::{Bias, SwarmConfig, SwarmStats};
+pub use swarm::{Bias, SwarmConfig};
 pub use verdict::{EffortStats, Report, Verdict};

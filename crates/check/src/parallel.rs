@@ -31,20 +31,20 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use tpa_obs::{Counter, Gauge, Metrics, Probe, WorkerSnapshot};
+use tpa_obs::{Metrics, Probe, WorkerSnapshot};
 use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
 
 use crate::cache::{Rank, StateCache};
 use crate::checkpoint::{CandidateData, Counters, FrontierNode};
-use crate::explore::{
-    enabled_all, panic_message, ExploreConfig, ExploreStats, FoundViolation, IncompleteReason,
-};
+use crate::explore::{enabled_all, panic_message, ExploreConfig, FoundViolation, IncompleteReason};
 use crate::invariant::{Invariant, Violation};
 use crate::sleep::SleepSet;
+use crate::verdict::EffortStats;
 
-/// How many node expansions a worker performs between probe snapshots.
-/// Chosen so telemetry stays far off the hot path (a snapshot is one
-/// virtual call and, for a recording probe, one formatted line).
+/// How many node expansions a worker performs between reports (probe
+/// snapshot and registry write). Chosen so telemetry stays far off the
+/// hot path (a report is one virtual call and, for a recording probe,
+/// one formatted line, plus one name lookup per registry metric).
 const SNAPSHOT_EVERY: u64 = 512;
 
 /// The number of worker threads used when a caller does not choose:
@@ -53,54 +53,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Pre-resolved [`Metrics`] handles for the search hot path. Handle
-/// resolution takes the registry's name-map lock, so it happens once per
-/// run, here; updates afterwards are single relaxed atomic ops — the
-/// same cost class as the engine's existing aggregate counters, which is
-/// what lets the metrics-on ≡ metrics-off differential hold at noise
-/// level.
-pub(crate) struct SearchMetrics {
-    pub transitions: Counter,
-    pub nodes_expanded: Counter,
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
-    pub cache_subsumed: Counter,
-    pub sleep_prunes: Counter,
-    pub steals: Counter,
-    pub donated: Counter,
-    /// High-water mark of any worker's private frontier stack.
-    pub frontier_hwm: Gauge,
-    /// Deepest node expanded (schedule depth high-water mark).
-    pub depth_hwm: Gauge,
-    /// Canonicalisations where the orbit-minimal permutation was the
-    /// identity (the state was already canonical).
-    pub sym_identity: Counter,
-    /// Canonicalisations that renamed the state (and its sleep set).
-    pub sym_renamed: Counter,
-    /// Swarm schedules completed.
-    pub swarm_schedules: Counter,
-}
-
-impl SearchMetrics {
-    pub fn resolve(m: &Metrics) -> Self {
-        SearchMetrics {
-            transitions: m.counter("search.transitions"),
-            nodes_expanded: m.counter("search.nodes_expanded"),
-            cache_hits: m.counter("search.cache_hits"),
-            cache_misses: m.counter("search.cache_misses"),
-            cache_subsumed: m.counter("cache.subsumed"),
-            sleep_prunes: m.counter("search.sleep_prunes"),
-            steals: m.counter("search.steals"),
-            donated: m.counter("search.donated"),
-            frontier_hwm: m.gauge("search.frontier_hwm"),
-            depth_hwm: m.gauge("search.depth_hwm"),
-            sym_identity: m.counter("sym.canonical_identity"),
-            sym_renamed: m.counter("sym.canonical_renamed"),
-            swarm_schedules: m.counter("swarm.schedules"),
-        }
-    }
 }
 
 /// The frozen image of a mid-flight search, handed to the checkpoint
@@ -137,12 +89,24 @@ pub(crate) struct ResumeSeed {
     pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
 }
 
+/// A run's cumulative counters: the resume `base` plus every retired
+/// worker's.
+fn cumulative(base: &Counters, workers: &[WorkerStats]) -> Counters {
+    let sum = total(workers);
+    Counters {
+        transitions: base.transitions + sum.transitions,
+        pruned_sleep: base.pruned_sleep + sum.sleep_prunes,
+        cache_skips: base.cache_skips + sum.cache_hits,
+        truncated_paths: base.truncated_paths + sum.truncated_paths,
+    }
+}
+
 /// What [`run_exhaustive`] hands back.
 pub(crate) struct ExhaustiveOutcome {
     /// The lexicographically least violation, if any.
     pub found: Option<FoundViolation>,
     /// Aggregate search counters (resume base included).
-    pub stats: ExploreStats,
+    pub stats: EffortStats,
     /// Per-worker counters, merged across checkpoint legs by worker
     /// index.
     pub workers: Vec<WorkerStats>,
@@ -176,11 +140,13 @@ struct WorkQueue {
 
 /// Per-worker search counters, cumulative over the worker's lifetime.
 ///
-/// The global [`ExploreStats`] aggregate these (plus the root bookkeeping
-/// the engine does before workers start); the per-worker split is what
-/// the telemetry layer and [`crate::Report::workers`] expose — it shows
-/// load balance, cache contention and pruning behaviour that a single sum
-/// hides.
+/// These are the only place search effort is counted. Everything else
+/// is derived from them: [`crate::Report::stats`] and the checkpoint
+/// counters are their sum (plus a resume base), and the probe's
+/// [`WorkerSnapshot`]s and the metrics registry are written from them at
+/// each report point. The per-worker split is what
+/// [`crate::Report::workers`] exposes — it shows load balance, cache
+/// contention and pruning behaviour that a single sum hides.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct WorkerStats {
     /// Worker index (0-based, dense; assignment order is nondeterministic
@@ -203,10 +169,118 @@ pub struct WorkerStats {
     pub steals: u64,
     /// High-water mark of the private frontier stack.
     pub max_frontier: u32,
+    /// New child states this worker did not expand because they sit at
+    /// the step bound.
+    pub truncated_paths: u64,
+    /// Depth of the deepest node this worker expanded.
+    pub max_depth: u32,
+    /// Cache entries this worker's visits evicted by subsumption.
+    pub cache_subsumed: u64,
+    /// Cache lookups whose canonical key renamed the state (symmetry
+    /// reduction engaged); the other lookups were already canonical.
+    pub sym_renamed: u64,
+}
+
+/// Which search a worker ran: decides the registry names its counters
+/// are published under.
+#[derive(Clone, Copy)]
+pub(crate) enum Search {
+    /// Exhaustive search, with or without canonical state keys.
+    Exhaustive { symmetry: bool },
+    /// Swarm search: `nodes_expanded` counts schedules.
+    Swarm,
+}
+
+/// Where workers report their counters: the probe (a [`WorkerSnapshot`])
+/// and the metrics registry, written together at the same points.
+pub(crate) struct Telemetry<'a> {
+    pub probe: Option<&'a dyn Probe>,
+    pub metrics: Option<&'a Metrics>,
+    pub search: Search,
+}
+
+impl Telemetry<'_> {
+    /// Reports `ws`: a periodic snapshot, or the final one when `done`.
+    /// `published` holds the counters already written to the registry.
+    pub fn report(
+        &self,
+        ws: &WorkerStats,
+        published: &mut WorkerStats,
+        frontier_depth: u32,
+        done: bool,
+    ) {
+        if let Some(probe) = self.probe {
+            probe.worker(&ws.snapshot(frontier_depth, done));
+        }
+        if let Some(metrics) = self.metrics {
+            ws.publish(published, metrics, self.search);
+        }
+    }
+}
+
+/// The sum of `workers`' counters (high-water marks take the maximum).
+pub(crate) fn total(workers: &[WorkerStats]) -> WorkerStats {
+    let mut sum = WorkerStats::default();
+    for w in workers {
+        sum.add(w);
+    }
+    sum
 }
 
 impl WorkerStats {
-    pub(crate) fn snapshot(&self, frontier_depth: u32, done: bool) -> WorkerSnapshot {
+    /// Adds `other`'s counters to these; high-water marks take the
+    /// maximum. Merges one worker's legs and sums a run's workers.
+    fn add(&mut self, other: &WorkerStats) {
+        self.nodes_expanded += other.nodes_expanded;
+        self.transitions += other.transitions;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.sleep_prunes += other.sleep_prunes;
+        self.donated += other.donated;
+        self.steals += other.steals;
+        self.max_frontier = self.max_frontier.max(other.max_frontier);
+        self.truncated_paths += other.truncated_paths;
+        self.max_depth = self.max_depth.max(other.max_depth);
+        self.cache_subsumed += other.cache_subsumed;
+        self.sym_renamed += other.sym_renamed;
+    }
+
+    /// Writes the counters gained since `published` into `metrics` and
+    /// records them as published. The registry is written only here.
+    fn publish(&self, published: &mut WorkerStats, metrics: &Metrics, search: Search) {
+        let d = |field: fn(&WorkerStats) -> u64| field(self) - field(published);
+        let (expanded, renamed) = (d(|w| w.nodes_expanded), d(|w| w.sym_renamed));
+        let (nodes, schedules, identity) = match search {
+            Search::Exhaustive { symmetry: false } => (expanded, 0, 0),
+            // Every cache lookup canonicalised its key first, either
+            // renaming the state or finding it already canonical.
+            Search::Exhaustive { symmetry: true } => {
+                (expanded, 0, d(|w| w.cache_hits + w.cache_misses) - renamed)
+            }
+            Search::Swarm => (0, expanded, 0),
+        };
+        for (name, n) in [
+            ("search.transitions", d(|w| w.transitions)),
+            ("search.nodes_expanded", nodes),
+            ("search.cache_hits", d(|w| w.cache_hits)),
+            ("search.cache_misses", d(|w| w.cache_misses)),
+            ("cache.subsumed", d(|w| w.cache_subsumed)),
+            ("search.sleep_prunes", d(|w| w.sleep_prunes)),
+            ("search.steals", d(|w| w.steals)),
+            ("search.donated", d(|w| w.donated)),
+            ("sym.canonical_identity", identity),
+            ("sym.canonical_renamed", renamed),
+            ("swarm.schedules", schedules),
+        ] {
+            metrics.counter(name).add(n);
+        }
+        let hwm = |name, v: u32| metrics.gauge(name).max(v as u64);
+        hwm("search.frontier_hwm", self.max_frontier);
+        hwm("search.depth_hwm", self.max_depth);
+        *published = *self;
+    }
+
+    fn snapshot(&self, frontier_depth: u32, done: bool) -> WorkerSnapshot {
         WorkerSnapshot {
             worker: self.worker,
             done,
@@ -227,20 +301,20 @@ struct Engine<'a> {
     config: &'a ExploreConfig,
     threads: usize,
     cache: StateCache,
-    transitions: AtomicU64,
-    pruned_sleep: AtomicU64,
-    cache_skips: AtomicU64,
-    truncated_paths: AtomicU64,
+    /// Transition claims across the whole run — the budget clock. A
+    /// refused claim is counted too, so this is not the number of
+    /// transitions executed (that is the workers' sum) and is never
+    /// reported.
+    budget_clock: AtomicU64,
     /// Some abort condition hit (budget, deadline, worker panic): stop
     /// everything, report incomplete.
     aborted: AtomicBool,
     /// The first abort condition observed; later ones are ignored.
     abort_reason: Mutex<Option<IncompleteReason>>,
     /// Nodes expanded across the whole run — the periodic-checkpoint
-    /// clock (per-worker counts also exist, but the trip point must be
-    /// global).
-    nodes_expanded: AtomicU64,
-    /// The `nodes_expanded` value whose expansion requests a pause
+    /// clock (the trip point must be global). Never reported.
+    checkpoint_clock: AtomicU64,
+    /// The `checkpoint_clock` value whose expansion requests a pause
     /// (`u64::MAX`: periodic checkpoints disabled). Only rewritten
     /// between legs, while workers are joined.
     checkpoint_at: AtomicU64,
@@ -265,16 +339,14 @@ struct Engine<'a> {
     next_worker: AtomicUsize,
     /// Final per-worker counters, collected as workers retire.
     worker_stats: Mutex<Vec<WorkerStats>>,
-    /// Telemetry sink: periodic and final [`WorkerSnapshot`]s.
-    probe: Option<&'a dyn Probe>,
+    /// Where workers report their counters, periodically and on
+    /// retirement.
+    telemetry: Telemetry<'a>,
     /// When present, states are cached under their canonical (orbit-
     /// minimal) key and sleep sets are relabeled to match; ranks, paths
     /// and the frontier stay concrete, so the reported witness is still
     /// the lexicographically least *un-renamed* schedule.
     symmetry: Option<&'a SymmetryGroup>,
-    /// Pre-resolved registry handles; `None` costs one branch per site,
-    /// like a disabled probe.
-    metrics: Option<&'a SearchMetrics>,
 }
 
 /// The cache coordinates of a state: its canonical key plus, when the
@@ -314,9 +386,10 @@ fn cache_coords(
 /// counters may differ, since workers race to states that then need no
 /// re-expansion.
 ///
-/// `probe` (if any) receives periodic and final [`WorkerSnapshot`]s; it
-/// never influences the search — the differential suite pins probe-on and
-/// probe-off runs to identical witnesses and state counts. The returned
+/// `probe` (if any) receives periodic and final [`WorkerSnapshot`]s, and
+/// `metrics` (if any) gets each worker's counters at the same points;
+/// neither influences the search — the differential suites pin them on
+/// and off to identical witnesses and state counts. The returned
 /// [`WorkerStats`] are each worker's final counters, in worker order.
 ///
 /// `resume` seeds the search from a decoded checkpoint instead of the
@@ -339,7 +412,7 @@ pub(crate) fn run_exhaustive(
     threads: usize,
     probe: Option<&dyn Probe>,
     symmetry: Option<&SymmetryGroup>,
-    metrics: Option<&SearchMetrics>,
+    metrics: Option<&Metrics>,
     resume: Option<ResumeSeed>,
     checkpoints: Option<&CheckpointHooks>,
 ) -> ExhaustiveOutcome {
@@ -350,31 +423,17 @@ pub(crate) fn run_exhaustive(
         // The initial state itself may violate (e.g. an empty program that
         // is terminal but not quiescent). A resumed search already passed
         // these root checks in its first leg.
-        for inv in invariants {
-            if let Some(v) = inv.check(&root) {
-                return ExhaustiveOutcome {
-                    found: Some(FoundViolation {
-                        violation: v,
-                        schedule: Vec::new(),
-                    }),
-                    stats: ExploreStats {
-                        unique_states: 1,
-                        complete: true,
-                        ..ExploreStats::default()
-                    },
-                    workers: Vec::new(),
-                    checkpoint: None,
-                };
-            }
-        }
-        if config.max_steps == 0 {
+        let found = invariants.iter().find_map(|inv| inv.check(&root));
+        if found.is_some() || config.max_steps == 0 {
             return ExhaustiveOutcome {
-                found: None,
-                stats: ExploreStats {
+                found: found.map(|violation| FoundViolation {
+                    violation,
+                    schedule: Vec::new(),
+                }),
+                stats: EffortStats {
                     unique_states: 1,
-                    truncated_paths: 1,
                     complete: true,
-                    ..ExploreStats::default()
+                    ..EffortStats::default()
                 },
                 workers: Vec::new(),
                 checkpoint: None,
@@ -382,19 +441,15 @@ pub(crate) fn run_exhaustive(
         }
     }
 
-    let cache = StateCache::new(if threads == 1 { 1 } else { threads * 8 });
     let engine = Engine {
         invariants,
         config,
         threads,
-        cache: cache.counting(metrics.map(|m| m.cache_subsumed.clone())),
-        transitions: AtomicU64::new(0),
-        pruned_sleep: AtomicU64::new(0),
-        cache_skips: AtomicU64::new(0),
-        truncated_paths: AtomicU64::new(0),
+        cache: StateCache::new(if threads == 1 { 1 } else { threads * 8 }),
+        budget_clock: AtomicU64::new(0),
         aborted: AtomicBool::new(false),
         abort_reason: Mutex::new(None),
-        nodes_expanded: AtomicU64::new(0),
+        checkpoint_clock: AtomicU64::new(0),
         checkpoint_at: AtomicU64::new(
             checkpoints
                 .and_then(|h| h.every)
@@ -413,13 +468,18 @@ pub(crate) fn run_exhaustive(
         available: Condvar::new(),
         next_worker: AtomicUsize::new(0),
         worker_stats: Mutex::new(Vec::with_capacity(threads)),
-        probe,
+        telemetry: Telemetry {
+            probe,
+            metrics,
+            search: Search::Exhaustive {
+                symmetry: symmetry.is_some(),
+            },
+        },
         symmetry,
-        metrics,
     };
 
     // Base counters from the checkpointed leg(s); folded into reported
-    // stats but *not* into the live atomics, so `max_transitions` keeps
+    // stats but *not* into the budget clock, so `max_transitions` keeps
     // budgeting each leg rather than instantly re-aborting a resume.
     let base = resume
         .as_ref()
@@ -505,7 +565,7 @@ pub(crate) fn run_exhaustive(
             st.active = threads;
         }
         engine.next_worker.store(0, Ordering::Relaxed);
-        let expanded = engine.nodes_expanded.load(Ordering::Relaxed);
+        let expanded = engine.checkpoint_clock.load(Ordering::Relaxed);
         engine.checkpoint_at.store(
             expanded.saturating_add(hooks.every.unwrap_or(u64::MAX)),
             Ordering::Relaxed,
@@ -517,15 +577,6 @@ pub(crate) fn run_exhaustive(
         .abort_reason
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let stats = ExploreStats {
-        transitions: base.transitions + engine.transitions.load(Ordering::Relaxed),
-        pruned_sleep: base.pruned_sleep + engine.pruned_sleep.load(Ordering::Relaxed),
-        cache_skips: base.cache_skips + engine.cache_skips.load(Ordering::Relaxed),
-        unique_states: engine.cache.unique_states(),
-        truncated_paths: base.truncated_paths + engine.truncated_paths.load(Ordering::Relaxed),
-        complete: !engine.aborted.load(Ordering::Relaxed) && incomplete.is_none(),
-        incomplete,
-    };
     // A panicked worker may have poisoned these while dying; the surviving
     // workers' data inside is still sound, so recover it rather than
     // cascading the panic into the caller.
@@ -533,21 +584,22 @@ pub(crate) fn run_exhaustive(
         .worker_stats
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let counters = cumulative(&base, &retired);
+    let stats = EffortStats {
+        transitions: counters.transitions,
+        pruned_sleep: counters.pruned_sleep,
+        cache_skips: counters.cache_skips,
+        unique_states: engine.cache.unique_states(),
+        complete: !engine.aborted.load(Ordering::Relaxed) && incomplete.is_none(),
+        incomplete,
+        ..EffortStats::default()
+    };
     // Merge legs: worker indices restart at 0 each leg, so per-index sums
     // give each logical worker's whole-run counters.
     let mut workers: Vec<WorkerStats> = Vec::new();
     for ws in retired {
         match workers.iter_mut().find(|w| w.worker == ws.worker) {
-            Some(w) => {
-                w.nodes_expanded += ws.nodes_expanded;
-                w.transitions += ws.transitions;
-                w.cache_hits += ws.cache_hits;
-                w.cache_misses += ws.cache_misses;
-                w.sleep_prunes += ws.sleep_prunes;
-                w.donated += ws.donated;
-                w.steals += ws.steals;
-                w.max_frontier = w.max_frontier.max(ws.max_frontier);
-            }
+            Some(w) => w.add(&ws),
             None => workers.push(ws),
         }
     }
@@ -670,14 +722,12 @@ impl Engine<'_> {
                 detail: c.found.violation.detail.clone(),
                 schedule: c.found.schedule.clone(),
             });
+        let retired = self
+            .worker_stats
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         SnapshotData {
-            counters: Counters {
-                transitions: base.transitions + self.transitions.load(Ordering::Relaxed),
-                pruned_sleep: base.pruned_sleep + self.pruned_sleep.load(Ordering::Relaxed),
-                cache_skips: base.cache_skips + self.cache_skips.load(Ordering::Relaxed),
-                truncated_paths: base.truncated_paths
-                    + self.truncated_paths.load(Ordering::Relaxed),
-            },
+            counters: cumulative(base, &retired),
             candidate,
             frontier,
             cache: self.cache.export(),
@@ -709,12 +759,19 @@ impl Engine<'_> {
     /// `suspended` rather than lost. That is what makes even a
     /// panic-triggered checkpoint resumable without a false pass: every
     /// state the dying worker had marked visited-but-unexpanded is still
-    /// on the frontier.
+    /// on the frontier. The worker's counters live out here too, so a
+    /// panicked worker still retires them: its effort stays in the
+    /// report, the final snapshot and the registry.
     fn worker_caught(&self) {
+        let mut ws = WorkerStats {
+            worker: self.next_worker.fetch_add(1, Ordering::Relaxed) as u32,
+            ..WorkerStats::default()
+        };
+        let mut published = WorkerStats::default();
         let mut local: Vec<Node> = Vec::new();
         let mut in_flight: Option<Node> = None;
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.worker(&mut local, &mut in_flight)
+            self.worker(&mut ws, &mut published, &mut local, &mut in_flight)
         })) {
             self.abort(IncompleteReason::WorkerPanic {
                 message: panic_message(payload.as_ref()),
@@ -728,13 +785,20 @@ impl Engine<'_> {
             suspended.extend(in_flight.take());
             suspended.append(&mut local);
         }
+        self.telemetry.report(&ws, &mut published, 0, true);
+        self.worker_stats
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .push(ws);
     }
 
-    fn worker(&self, local: &mut Vec<Node>, in_flight: &mut Option<Node>) {
-        let mut ws = WorkerStats {
-            worker: self.next_worker.fetch_add(1, Ordering::Relaxed) as u32,
-            ..WorkerStats::default()
-        };
+    fn worker(
+        &self,
+        ws: &mut WorkerStats,
+        published: &mut WorkerStats,
+        local: &mut Vec<Node>,
+        in_flight: &mut Option<Node>,
+    ) {
         loop {
             if self.aborted.load(Ordering::Relaxed) || self.pause.load(Ordering::Relaxed) {
                 if self.capture {
@@ -747,16 +811,14 @@ impl Engine<'_> {
                 None => match self.take() {
                     Some(n) => {
                         ws.steals += 1;
-                        if let Some(m) = self.metrics {
-                            m.steals.incr();
-                        }
                         n
                     }
                     None => break,
                 },
             };
             *in_flight = Some(node);
-            let keep = self.expand(in_flight.as_ref().expect("just parked"), local, &mut ws);
+            let expanded = ws.nodes_expanded;
+            let keep = self.expand(in_flight.as_ref().expect("just parked"), local, ws);
             let node = in_flight.take().expect("just parked");
             if keep {
                 // Interrupted mid-expansion: the node goes back on the
@@ -766,23 +828,12 @@ impl Engine<'_> {
                 local.push(node);
             }
             ws.max_frontier = ws.max_frontier.max(local.len() as u32);
-            if let Some(m) = self.metrics {
-                m.frontier_hwm.max(local.len() as u64);
+            if ws.nodes_expanded != expanded && ws.nodes_expanded.is_multiple_of(SNAPSHOT_EVERY) {
+                self.telemetry
+                    .report(ws, published, local.len() as u32, false);
             }
-            if ws.nodes_expanded.is_multiple_of(SNAPSHOT_EVERY) {
-                if let Some(probe) = self.probe {
-                    probe.worker(&ws.snapshot(local.len() as u32, false));
-                }
-            }
-            self.donate(local, &mut ws);
+            self.donate(local, ws);
         }
-        if let Some(probe) = self.probe {
-            probe.worker(&ws.snapshot(0, true));
-        }
-        self.worker_stats
-            .lock()
-            .expect("worker-stats slot poisoned")
-            .push(ws);
     }
 
     /// Blocks until shared work arrives or the search is over.
@@ -821,9 +872,6 @@ impl Engine<'_> {
             st.queue.extend(local.drain(..give));
             drop(st);
             ws.donated += give as u64;
-            if let Some(m) = self.metrics {
-                m.donated.add(give as u64);
-            }
             self.available.notify_all();
         }
     }
@@ -871,7 +919,7 @@ impl Engine<'_> {
                 return true;
             }
         }
-        let expanded = self.nodes_expanded.fetch_add(1, Ordering::Relaxed) + 1;
+        let expanded = self.checkpoint_clock.fetch_add(1, Ordering::Relaxed) + 1;
         if expanded == self.checkpoint_at.load(Ordering::Relaxed) {
             // This expansion crossed the periodic-checkpoint line.
             // `fetch_add` hands out each value exactly once and the
@@ -881,10 +929,7 @@ impl Engine<'_> {
             self.available.notify_all();
         }
         ws.nodes_expanded += 1;
-        if let Some(m) = self.metrics {
-            m.nodes_expanded.incr();
-            m.depth_hwm.max(node.depth as u64);
-        }
+        ws.max_depth = ws.max_depth.max(node.depth);
         let mut done = SleepSet::empty();
         // Children are appended to `local` as they are visited (not
         // batched) so an interrupt — including a panic unwinding through
@@ -894,22 +939,15 @@ impl Engine<'_> {
         let start = local.len();
         for (i, d) in enabled_all(&node.machine).into_iter().enumerate() {
             if node.sleep.contains(d) {
-                self.pruned_sleep.fetch_add(1, Ordering::Relaxed);
                 ws.sleep_prunes += 1;
-                if let Some(m) = self.metrics {
-                    m.sleep_prunes.incr();
-                }
                 continue;
             }
-            if self.transitions.fetch_add(1, Ordering::Relaxed) >= self.config.max_transitions {
+            if self.budget_clock.fetch_add(1, Ordering::Relaxed) >= self.config.max_transitions {
                 self.abort(IncompleteReason::BudgetExhausted);
                 local[start..].reverse();
                 return true;
             }
             ws.transitions += 1;
-            if let Some(m) = self.metrics {
-                m.transitions.incr();
-            }
             let mut child = node.machine.fork_for_search();
             child
                 .step(d)
@@ -950,36 +988,21 @@ impl Engine<'_> {
 
             let child_depth = node.depth + 1;
             let (child_key, renamed_sleep) = cache_coords(&child, &child_sleep, self.symmetry);
-            if let Some(m) = self.metrics {
-                if self.symmetry.is_some() {
-                    // `cache_coords` returns a renamed sleep set exactly
-                    // when canonicalisation applied a non-identity
-                    // permutation.
-                    if renamed_sleep.is_some() {
-                        m.sym_renamed.incr();
-                    } else {
-                        m.sym_identity.incr();
-                    }
-                }
-            }
+            // `cache_coords` returns a renamed sleep set exactly when
+            // canonicalisation applied a non-identity permutation.
+            ws.sym_renamed += renamed_sleep.is_some() as u64;
             let cache_sleep = renamed_sleep.as_ref().unwrap_or(&child_sleep);
-            if !self
-                .cache
-                .try_visit(child_key, cache_sleep, child_depth, &child_rank)
-            {
-                self.cache_skips.fetch_add(1, Ordering::Relaxed);
+            let Some(evicted) =
+                self.cache
+                    .try_visit(child_key, cache_sleep, child_depth, &child_rank)
+            else {
                 ws.cache_hits += 1;
-                if let Some(m) = self.metrics {
-                    m.cache_hits.incr();
-                }
                 continue;
-            }
+            };
             ws.cache_misses += 1;
-            if let Some(m) = self.metrics {
-                m.cache_misses.incr();
-            }
+            ws.cache_subsumed += evicted;
             if child_depth as usize >= self.config.max_steps {
-                self.truncated_paths.fetch_add(1, Ordering::Relaxed);
+                ws.truncated_paths += 1;
                 continue;
             }
             let mut path = Vec::with_capacity(node.path.len() + 1);

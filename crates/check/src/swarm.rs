@@ -21,22 +21,23 @@
 //! lowest schedule index — the same one a sequential sweep finds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tpa_obs::Probe;
+use tpa_obs::{Metrics, Probe};
 use tpa_tso::sched::XorShift;
 use tpa_tso::{Directive, Machine, MemoryModel, Mode, ProcId, System};
 
 use crate::explore::{enabled_all, FoundViolation, IncompleteReason};
 use crate::invariant::Invariant;
-use crate::parallel::{SearchMetrics, WorkerStats};
+use crate::parallel::{total, Search, Telemetry, WorkerStats};
+use crate::verdict::EffortStats;
 
-/// How many schedules a swarm worker completes between probe snapshots
-/// (schedules are coarse units — hundreds to thousands of transitions —
-/// so this is far rarer than the exhaustive engine's per-expansion
-/// cadence).
+/// How many schedules a swarm worker completes between reports (probe
+/// snapshot and registry write). Schedules are coarse units — hundreds
+/// to thousands of transitions — so this is far rarer than the
+/// exhaustive engine's per-expansion cadence.
 const SNAPSHOT_EVERY_SCHEDULES: u64 = 16;
 
 /// Swarm search bounds.
@@ -65,24 +66,15 @@ impl Default for SwarmConfig {
     }
 }
 
-/// Swarm effort counters.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SwarmStats {
-    /// Schedules actually run (skipped ones — indices above an already
-    /// recorded violation — are not counted).
-    pub schedules_run: usize,
-    /// Total machine steps executed across all schedules.
-    pub transitions: u64,
-}
-
 /// Everything a swarm run produced: the lowest-schedule-index violation,
-/// the aggregate counters, the per-worker counters, and the first abort
-/// condition (worker panic, expired deadline) if any run hit one.
+/// the aggregate counters — schedules run (skipped ones, indices above
+/// an already recorded violation, are not counted), transitions, and the
+/// first abort condition (worker panic, expired deadline) if any run hit
+/// one — and the per-worker counters they sum.
 pub(crate) struct SwarmOutcome {
     pub found: Option<FoundViolation>,
-    pub stats: SwarmStats,
+    pub stats: EffortStats,
     pub workers: Vec<WorkerStats>,
-    pub incomplete: Option<IncompleteReason>,
 }
 
 /// The per-schedule scheduling bias.
@@ -117,12 +109,9 @@ struct Pool<'a> {
     best_index: AtomicUsize,
     best: Mutex<Option<(usize, FoundViolation)>>,
     incomplete: Mutex<Option<IncompleteReason>>,
-    transitions: AtomicU64,
-    schedules_run: AtomicUsize,
     next_worker: AtomicUsize,
     worker_stats: Mutex<Vec<WorkerStats>>,
-    probe: Option<&'a dyn Probe>,
-    metrics: Option<&'a SearchMetrics>,
+    telemetry: Telemetry<'a>,
 }
 
 /// Runs biased random schedules across `threads` workers until every
@@ -140,7 +129,7 @@ pub(crate) fn run_swarm(
     threads: usize,
     deadline: Option<Instant>,
     probe: Option<&dyn Probe>,
-    metrics: Option<&SearchMetrics>,
+    metrics: Option<&Metrics>,
 ) -> SwarmOutcome {
     let threads = threads.max(1).min(config.schedules.max(1));
     let pool = Pool {
@@ -153,12 +142,13 @@ pub(crate) fn run_swarm(
         best_index: AtomicUsize::new(usize::MAX),
         best: Mutex::new(None),
         incomplete: Mutex::new(None),
-        transitions: AtomicU64::new(0),
-        schedules_run: AtomicUsize::new(0),
         next_worker: AtomicUsize::new(0),
         worker_stats: Mutex::new(Vec::with_capacity(threads)),
-        probe,
-        metrics,
+        telemetry: Telemetry {
+            probe,
+            metrics,
+            search: Search::Swarm,
+        },
     };
     if threads == 1 {
         pool.worker();
@@ -174,21 +164,25 @@ pub(crate) fn run_swarm(
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     workers.sort_by_key(|w| w.worker);
+    let sum = total(&workers);
     SwarmOutcome {
         found: pool
             .best
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .map(|(_, f)| f),
-        stats: SwarmStats {
-            schedules_run: pool.schedules_run.load(Ordering::Relaxed),
-            transitions: pool.transitions.load(Ordering::Relaxed),
+        stats: EffortStats {
+            transitions: sum.transitions,
+            schedules_run: sum.nodes_expanded as usize,
+            // Kept even when a violation surfaced: the effort stats must
+            // say the run was cut short.
+            incomplete: pool
+                .incomplete
+                .into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+            ..EffortStats::default()
         },
         workers,
-        incomplete: pool
-            .incomplete
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()),
     }
 }
 
@@ -198,6 +192,7 @@ impl Pool<'_> {
             worker: self.next_worker.fetch_add(1, Ordering::Relaxed) as u32,
             ..WorkerStats::default()
         };
+        let mut published = WorkerStats::default();
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.config.schedules {
@@ -221,7 +216,6 @@ impl Pool<'_> {
                 .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 | 1;
             let bias = BIASES[i % BIASES.len()];
-            let mut local = SwarmStats::default();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_one(
                     self.system,
@@ -230,17 +224,9 @@ impl Pool<'_> {
                     bias,
                     seed,
                     self.config,
-                    &mut local,
+                    &mut ws.transitions,
                 )
             }));
-            self.schedules_run.fetch_add(1, Ordering::Relaxed);
-            self.transitions
-                .fetch_add(local.transitions, Ordering::Relaxed);
-            if let Some(m) = self.metrics {
-                m.transitions.add(local.transitions);
-                m.swarm_schedules.incr();
-            }
-            ws.transitions += local.transitions;
             ws.nodes_expanded += 1; // one schedule = one unit of work
             match result {
                 Ok(Some(found)) => self.offer(i, found),
@@ -250,14 +236,10 @@ impl Pool<'_> {
                 }),
             }
             if ws.nodes_expanded.is_multiple_of(SNAPSHOT_EVERY_SCHEDULES) {
-                if let Some(probe) = self.probe {
-                    probe.worker(&ws.snapshot(0, false));
-                }
+                self.telemetry.report(&ws, &mut published, 0, false);
             }
         }
-        if let Some(probe) = self.probe {
-            probe.worker(&ws.snapshot(0, true));
-        }
+        self.telemetry.report(&ws, &mut published, 0, true);
         self.worker_stats
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -294,7 +276,7 @@ fn run_one(
     bias: Bias,
     seed: u64,
     config: &SwarmConfig,
-    stats: &mut SwarmStats,
+    transitions: &mut u64,
 ) -> Option<FoundViolation> {
     let mut machine = Machine::with_model(system, model);
     machine.set_crash_budget(config.max_crashes);
@@ -310,7 +292,7 @@ fn run_one(
         machine
             .step(d)
             .unwrap_or_else(|e| panic!("swarm: enabled directive {d:?} failed: {e:?}"));
-        stats.transitions += 1;
+        *transitions += 1;
         for inv in invariants {
             if let Some(v) = inv.check(&machine) {
                 return Some(FoundViolation {
@@ -411,7 +393,7 @@ mod tests {
         };
         let out = run_swarm(&sys, MemoryModel::Tso, &invs, &cfg, 1, None, None, None);
         assert!(out.found.is_none(), "{:?}", out.found);
-        assert!(out.incomplete.is_none());
+        assert!(out.stats.incomplete.is_none());
         assert_eq!(out.stats.schedules_run, 9);
         assert!(out.stats.transitions > 0);
         assert_eq!(out.workers.len(), 1);
@@ -443,11 +425,30 @@ mod tests {
             seed: 7,
             ..SwarmConfig::default()
         };
-        let out = run_swarm(&sys, MemoryModel::Tso, &invs, &cfg, 4, None, None, None);
+        let metrics = Metrics::new();
+        let out = run_swarm(
+            &sys,
+            MemoryModel::Tso,
+            &invs,
+            &cfg,
+            4,
+            None,
+            None,
+            Some(&metrics),
+        );
         let t: u64 = out.workers.iter().map(|w| w.transitions).sum();
         let n: u64 = out.workers.iter().map(|w| w.nodes_expanded).sum();
         assert_eq!(t, out.stats.transitions);
         assert_eq!(n, out.stats.schedules_run as u64);
+        assert_eq!(n, 12);
+        // Every schedule depends only on (seed, index): one worker runs
+        // the same transitions four do.
+        let one = run_swarm(&sys, MemoryModel::Tso, &invs, &cfg, 1, None, None, None);
+        assert_eq!(one.stats.transitions, t);
+        // The registry is written from the same worker counters.
+        assert_eq!(metrics.counter_value("search.transitions"), Some(t));
+        assert_eq!(metrics.counter_value("swarm.schedules"), Some(n));
+        assert_eq!(metrics.counter_value("search.nodes_expanded"), Some(0));
     }
 
     #[test]
@@ -472,7 +473,10 @@ mod tests {
             None,
         );
         assert!(out.found.is_none());
-        assert_eq!(out.incomplete, Some(IncompleteReason::DeadlineExpired));
+        assert_eq!(
+            out.stats.incomplete,
+            Some(IncompleteReason::DeadlineExpired)
+        );
         assert_eq!(out.stats.schedules_run, 0, "no schedule should start");
     }
 }

@@ -12,9 +12,8 @@ use tpa_obs::Metrics;
 use tpa_tso::shrink::shrink_schedule;
 use tpa_tso::{trace, Directive, Machine, MemoryModel, System};
 
-use crate::explore::{ExploreStats, FoundViolation, IncompleteReason};
+use crate::explore::{FoundViolation, IncompleteReason};
 use crate::invariant::Invariant;
-use crate::swarm::SwarmStats;
 
 /// Outcome of checking one system.
 #[derive(Clone, Debug)]
@@ -64,7 +63,9 @@ impl Verdict {
     }
 }
 
-/// Search-effort counters, unified across modes.
+/// Search-effort counters, unified across modes. The counters are the
+/// sum of [`Report::workers`] (plus, for a resumed search, the counters
+/// its checkpoint carried).
 #[derive(Clone, Default, Debug)]
 pub struct EffortStats {
     /// Machine steps executed.
@@ -82,30 +83,6 @@ pub struct EffortStats {
     pub complete: bool,
     /// Why an exhaustive search stopped short, when `complete` is false.
     pub incomplete: Option<IncompleteReason>,
-}
-
-impl From<ExploreStats> for EffortStats {
-    fn from(s: ExploreStats) -> Self {
-        EffortStats {
-            transitions: s.transitions,
-            pruned_sleep: s.pruned_sleep,
-            cache_skips: s.cache_skips,
-            unique_states: s.unique_states,
-            schedules_run: 0,
-            complete: s.complete,
-            incomplete: s.incomplete,
-        }
-    }
-}
-
-impl From<SwarmStats> for EffortStats {
-    fn from(s: SwarmStats) -> Self {
-        EffortStats {
-            transitions: s.transitions,
-            schedules_run: s.schedules_run,
-            ..EffortStats::default()
-        }
-    }
 }
 
 /// The full result of checking one system in one mode.

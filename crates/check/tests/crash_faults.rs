@@ -163,6 +163,10 @@ fn worker_panic_yields_an_incomplete_verdict() {
             Some(IncompleteReason::WorkerPanic { ref message }) if message.contains("grenade went off")
         ));
         assert!(!report.stats.complete);
+        // The panicked worker still retires its counters.
+        assert_eq!(report.workers.len(), threads, "threads = {threads}");
+        let executed: u64 = report.workers.iter().map(|w| w.transitions).sum();
+        assert_eq!(executed, report.stats.transitions, "threads = {threads}");
     }
 }
 

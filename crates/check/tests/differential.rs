@@ -224,6 +224,15 @@ fn truncated_run_is_incomplete_never_a_pass_at_every_thread_count() {
             "effort stats must carry the distinct flag at {threads} threads"
         );
         assert!(!report.stats.complete);
+        // The budget admits exactly 50 transitions; claims it refused
+        // were never executed and must not be reported.
+        assert_eq!(report.stats.transitions, 50, "at {threads} threads");
+        let executed: u64 = report.workers.iter().map(|w| w.transitions).sum();
+        assert_eq!(executed, 50, "at {threads} threads");
+        assert!(
+            reason.contains("after 50 transitions"),
+            "reason must give the executed count: {reason}"
+        );
     }
 }
 

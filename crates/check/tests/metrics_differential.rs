@@ -1,9 +1,9 @@
 //! Metrics-vs-no-metrics differential tests: attaching a
 //! [`tpa_obs::Metrics`] registry to a [`Checker`] must be *observationally
-//! invisible* to the search. The registry's counters are relaxed atomics
-//! bumped at the same sites as the engine's existing aggregates; nothing
-//! about exploration order, pruning, caching, or witness selection may
-//! depend on whether they exist. These tests pin the verdict, the witness
+//! invisible* to the search. The registry is written from each worker's
+//! own counters when the worker reports; nothing about exploration
+//! order, pruning, caching, or witness selection may depend on whether
+//! it exists. These tests pin the verdict, the witness
 //! schedule, the shrunk schedule, and the unique-state count of a
 //! complete passing search against an unmetered baseline, sequentially
 //! and at 4 threads — and then check the registry told the truth about
@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use tpa_algos::sim::bakery::BakeryLock;
-use tpa_check::{Checker, Report, Verdict};
+use tpa_check::{Checker, Report, Verdict, WorkerStats};
 use tpa_obs::Metrics;
 use tpa_tso::{MemoryModel, System};
 
@@ -100,6 +100,25 @@ fn portfolio_is_unchanged_by_the_registry() {
                     "{}: fewer cache misses than unique states",
                     bare.algo
                 );
+                // The registry is published from the workers' own
+                // counters: each metric is their sum.
+                let workers = &metered.workers;
+                let sum = |f: fn(&WorkerStats) -> u64| workers.iter().map(f).sum::<u64>();
+                let label = format!("{} @{threads}", bare.algo);
+                for (name, total) in [
+                    ("search.transitions", sum(|w| w.transitions)),
+                    ("search.nodes_expanded", sum(|w| w.nodes_expanded)),
+                    ("search.cache_hits", sum(|w| w.cache_hits)),
+                    ("search.cache_misses", sum(|w| w.cache_misses)),
+                    ("search.sleep_prunes", sum(|w| w.sleep_prunes)),
+                    ("search.steals", sum(|w| w.steals)),
+                    ("search.donated", sum(|w| w.donated)),
+                ] {
+                    assert_eq!(snap.counter(name), total, "{label}: {name}");
+                }
+                let max_frontier = workers.iter().map(|w| w.max_frontier as u64).max();
+                let hwm = snap.gauges.get("search.frontier_hwm").copied();
+                assert_eq!(hwm, max_frontier, "{label}: search.frontier_hwm");
             }
         }
     }

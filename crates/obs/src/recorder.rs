@@ -13,11 +13,10 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::json::escape;
-use crate::metrics::Metrics;
 use crate::perfetto::{TraceBuilder, PID_RUN, PID_WORKERS};
 use crate::probe::{
     AdvEvent, HistogramRecord, Probe, RunInfo, RunSummary, SimKind, SimStep, WorkerSnapshot,
@@ -49,9 +48,6 @@ struct Inner {
     worker_last: BTreeMap<u32, WorkerSnapshot>,
     heartbeat_every: Option<Duration>,
     last_heartbeat: Instant,
-    /// Registry consulted by the heartbeat for live states/s and cache
-    /// hit rate (falls back to the worker snapshots when absent).
-    metrics: Option<Arc<Metrics>>,
     sim_events: u64,
     finished: bool,
 }
@@ -80,7 +76,6 @@ impl Recorder {
                 worker_last: BTreeMap::new(),
                 heartbeat_every: heartbeat,
                 last_heartbeat: Instant::now(),
-                metrics: None,
                 sim_events: 0,
                 finished: false,
             }),
@@ -136,14 +131,6 @@ impl Recorder {
         self.inner.lock().expect("recorder poisoned").sim_events
     }
 
-    /// Points the stderr heartbeat at a live [`Metrics`] registry: once
-    /// set, the progress line reports unique states/s and the cache hit
-    /// rate from `search.cache_hits` / `search.cache_misses` instead of
-    /// the (coarser, per-snapshot) worker totals.
-    pub fn set_metrics(&self, metrics: Arc<Metrics>) {
-        self.inner.lock().expect("recorder poisoned").metrics = Some(metrics);
-    }
-
     /// Flushes the JSONL stream and writes the Perfetto trace file, if
     /// one was requested. Idempotent; errors go to stderr (telemetry is
     /// never allowed to fail the run it observes).
@@ -190,12 +177,6 @@ impl Recorder {
             hits += s.cache_hits;
             misses += s.cache_misses;
             prunes += s.sleep_prunes;
-        }
-        // The registry counts every worker live; snapshots only refresh
-        // at reporting intervals. Prefer the registry when attached.
-        if let Some(m) = &inner.metrics {
-            hits = m.counter_value("search.cache_hits").unwrap_or(hits);
-            misses = m.counter_value("search.cache_misses").unwrap_or(misses);
         }
         let secs = self.start.elapsed().as_secs_f64().max(1e-9);
         // A miss is a state the search had to expand — first sightings
