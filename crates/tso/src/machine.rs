@@ -8,12 +8,18 @@
 //! events with the buffer drained in between; a process that is executing
 //! a fence is in *write mode* and can only commit.
 //!
-//! The machine simultaneously maintains all the bookkeeping the lower
-//! bound is stated in: RMR counters for DSM / CC-write-through /
+//! A full machine ([`Machine::new`], [`Machine::with_model`],
+//! [`Machine::fork`]) simultaneously maintains all the bookkeeping the
+//! lower bound is stated in: RMR counters for DSM / CC-write-through /
 //! CC-write-back, critical events, awareness sets, per-variable
-//! `writer(v, E)` and `Accessed(v, E)`, and per-passage statistics.
+//! `writer(v, E)` and `Accessed(v, E)`, and per-passage statistics. A
+//! [`Machine::fork_for_search`] copy carries only what the schedule
+//! explorer reads — the state [`Machine::state_hash`] covers, the last
+//! event, and the crash counters — and its accounting accessors
+//! ([`Machine::metrics`], [`Machine::accessed`], [`Machine::awareness`],
+//! [`Machine::fences_completed`], [`Machine::criticals`]) panic.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use crate::awareness::AwSet;
@@ -22,7 +28,7 @@ use crate::cache::CacheDir;
 use crate::event::{Event, EventKind, ReadSource, SpecialKind};
 use crate::fxhash::FxHasher;
 use crate::ids::{ProcId, Value, VarId};
-use crate::metrics::{Metrics, SpanKind};
+use crate::metrics::{Counters, Metrics, SpanKind};
 use crate::op::{Op, Outcome};
 use crate::perm::{Permutation, SymmetryGroup};
 use crate::program::{Program, System};
@@ -329,6 +335,7 @@ struct ProcEntry {
     buffer: WriteBuffer,
     in_fence: bool,
     section: Section,
+    /// `AW(p, E)`; frozen on a search fork, which does not propagate it.
     aw: AwSet,
     /// Variables this process has remotely read (for critical-read
     /// detection). Kept sorted: membership is a binary search, the state
@@ -379,6 +386,76 @@ fn remote_reads_insert(reads: &mut Vec<VarId>, v: VarId) {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct StateKey(pub u64);
 
+/// The lower bound's measurement data, which no search reads: the CC
+/// coherence directories, `Accessed(v, E)`, and the per-process event,
+/// RMR, critical-event, fence and per-passage counters. Full machines
+/// keep it; [`Machine::fork_for_search`] copies have none.
+#[derive(Clone)]
+struct Accounting {
+    cache: CacheDir,
+    accessed: Vec<HashSet<ProcId>>,
+    metrics: Metrics,
+}
+
+impl Accounting {
+    fn new(n: usize, vars: usize) -> Self {
+        Accounting {
+            cache: CacheDir::new(vars),
+            accessed: vec![HashSet::new(); vars],
+            metrics: Metrics::new(n),
+        }
+    }
+
+    /// Counts one event of `p` and returns `p`'s running totals.
+    fn event(&mut self, p: ProcId) -> &mut Counters {
+        let totals = self.metrics.proc_mut(p);
+        totals.events += 1;
+        totals
+    }
+
+    /// Counts an event of `p` that accesses `v` in memory: a read, or a
+    /// `write` (a commit, or a CAS — even a failed one takes the line
+    /// exclusively, like the LOCK prefix). Charges its DSM RMR when `v`
+    /// is `remote`, its CC RMRs per the directories, and `critical`.
+    fn access(
+        &mut self,
+        p: ProcId,
+        v: VarId,
+        write: bool,
+        remote: bool,
+        critical: bool,
+    ) -> &mut Counters {
+        let cc = if write {
+            self.cache.write(p, v)
+        } else {
+            self.cache.read(p, v)
+        };
+        self.accessed[v.index()].insert(p);
+        let totals = self.event(p);
+        totals.rmr_dsm += remote as u64;
+        totals.rmr_wt += cc.wt_rmr as u64;
+        totals.rmr_wb += cc.wb_rmr as u64;
+        totals.critical += critical as u64;
+        totals
+    }
+
+    /// Forgets the processes in `erased`: their accesses, cached copies
+    /// and counters.
+    fn erase(&mut self, erased: &BTreeSet<ProcId>) {
+        for set in &mut self.accessed {
+            set.retain(|p| !erased.contains(p));
+        }
+        self.cache.purge(erased);
+        for &p in erased {
+            self.metrics.reset_proc(p);
+        }
+    }
+}
+
+/// What an accounting accessor says when asked on a search fork.
+const NO_ACCOUNTING: &str = "a Machine::fork_for_search copy keeps no metrics, \
+     Accessed(v, E) sets or awareness; ask a full machine (new, with_model or fork)";
+
 /// The TSO machine: system state plus the recorded execution.
 ///
 /// `Debug` prints a summary (model, process count, log length, active and
@@ -388,12 +465,16 @@ pub struct Machine {
     model: MemoryModel,
     spec: Arc<VarSpec>,
     vars: VarTable,
-    cache: CacheDir,
     procs: Vec<ProcEntry>,
-    accessed: Vec<HashSet<ProcId>>,
+    /// The executed events. A search fork keeps only the last one.
     log: Vec<Event>,
+    /// The executed directives. A search fork records none.
     schedule: Vec<Directive>,
-    metrics: Metrics,
+    /// `None` exactly on a [`Machine::fork_for_search`] copy, which also
+    /// skips awareness propagation and commit histories: no search reads
+    /// them, and in-place erasure (which rewinds through the histories)
+    /// refuses such a copy.
+    accounting: Option<Accounting>,
     /// Per-variable and per-process components of the rolling state hash;
     /// `hash` is the xor of all components plus a model constant. `step`
     /// refreshes exactly the components it touches — see
@@ -416,9 +497,6 @@ pub struct Machine {
     /// share a cache entry if they agree on it. In zero-budget runs it is
     /// constantly 0 and existing state spaces are unchanged.
     writes_lost: u32,
-    /// Set by [`Machine::fork_for_search`]: commit history was dropped, so
-    /// in-place erasure (which rewinds through it) is unavailable.
-    search_fork: bool,
     /// Telemetry sink ([`Machine::attach_probe`]). `None` — the default —
     /// costs one branch per step. Deliberately *excluded* from
     /// [`Machine::state_hash`] and from behavioural equality: a probe
@@ -451,7 +529,7 @@ impl Machine {
         let n = system.n();
         let spec = system.vars();
         let vars = VarTable::new(&spec);
-        let cache = CacheDir::new(spec.count());
+        let accounting = Accounting::new(n, spec.count());
         let procs = (0..n)
             .map(|i| {
                 let pid = ProcId(i as u32);
@@ -472,24 +550,20 @@ impl Machine {
                 }
             })
             .collect();
-        let accessed = vec![HashSet::new(); spec.count()];
         let mut machine = Machine {
             model,
             spec: Arc::new(spec),
             vars,
-            cache,
             procs,
-            accessed,
             log: Vec::new(),
             schedule: Vec::new(),
-            metrics: Metrics::new(n),
+            accounting: Some(accounting),
             var_hash: Vec::new(),
             proc_hash: Vec::new(),
             hash: 0,
             crash_budget: 0,
             crashes_executed: 0,
             writes_lost: 0,
-            search_fork: false,
             probe: None,
         };
         machine.rebuild_state_hash();
@@ -531,19 +605,29 @@ impl Machine {
         self.procs[p.index()].buffer.iter().map(|w| w.var).collect()
     }
 
-    /// The executed event log (the execution `E`).
+    /// The executed event log (the execution `E`). On a
+    /// [`Machine::fork_for_search`] copy, only the last event.
     pub fn log(&self) -> &[Event] {
         &self.log
     }
 
-    /// The directives executed so far (the schedule that produced the log).
+    /// The directives executed so far (the schedule that produced the
+    /// log). Empty on a [`Machine::fork_for_search`] copy.
     pub fn schedule(&self) -> &[Directive] {
         &self.schedule
     }
 
+    fn accounting(&self) -> &Accounting {
+        self.accounting.as_ref().expect(NO_ACCOUNTING)
+    }
+
     /// The complexity metrics accumulated so far.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Machine::fork_for_search`] copy, which keeps no metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.accounting().metrics
     }
 
     /// The variable layout.
@@ -603,13 +687,23 @@ impl Machine {
     }
 
     /// `AW(p, E)`: the awareness set of `p`.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Machine::fork_for_search`] copy, which does not propagate
+    /// awareness.
     pub fn awareness(&self, p: ProcId) -> &AwSet {
+        assert!(self.accounting.is_some(), "{NO_ACCOUNTING}");
         &self.procs[p.index()].aw
     }
 
     /// `Accessed(v, E)`: processes that accessed `v`.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Machine::fork_for_search`] copy, which keeps no access sets.
     pub fn accessed(&self, v: VarId) -> &HashSet<ProcId> {
-        &self.accessed[v.index()]
+        &self.accounting().accessed[v.index()]
     }
 
     /// Read-only view of `p`'s program (for litmus-test assertions).
@@ -727,7 +821,12 @@ impl Machine {
             Directive::Issue(p) => self.do_issue(p)?,
             Directive::Crash(p) => self.do_crash(p)?,
         };
-        self.schedule.push(d);
+        // A search fork records no schedule and keeps only the last event.
+        if self.accounting.is_some() {
+            self.schedule.push(d);
+        } else {
+            self.log.clear();
+        }
         self.log.push(event);
         // Every mutation a directive makes to hashed per-process state
         // (program counter, buffer, fence flag, section, passage count,
@@ -741,8 +840,31 @@ impl Machine {
         Ok(event)
     }
 
+    /// The next event's position in the execution. Read off the last
+    /// event rather than the log's length, which a search fork truncates.
     fn next_seq(&self) -> usize {
-        self.log.len()
+        self.log.last().map_or(0, |e| e.seq + 1)
+    }
+
+    /// `p`'s running totals after counting one more event, or `None` on
+    /// a search fork.
+    fn count_event(&mut self, p: ProcId) -> Option<&mut Counters> {
+        self.accounting.as_mut().map(|a| a.event(p))
+    }
+
+    /// Definition 1: reading `v` makes `p` aware of its last writer and of
+    /// everything that writer was aware of when it issued the write.
+    /// Search forks skip it, since nothing they answer reads awareness.
+    fn learn_from_read(&mut self, p: ProcId, v: VarId) {
+        if self.accounting.is_none() {
+            return;
+        }
+        let state = self.vars.get(v);
+        if let Some(q) = state.writer {
+            let aw = &mut self.procs[p.index()].aw;
+            aw.insert(q);
+            aw.union_with(&state.writer_aw);
+        }
     }
 
     fn do_commit(&mut self, p: ProcId) -> Result<Event, StepError> {
@@ -770,19 +892,13 @@ impl Machine {
         w: crate::buffer::PendingWrite,
     ) -> Result<Event, StepError> {
         let critical = self.commit_would_be_critical(p, w.var);
-        self.vars.commit(w.var, w.value, p, w.aw_snapshot);
+        let remote = self.is_remote(p, w.var);
+        let record = self.accounting.is_some();
+        self.vars.commit(w.var, w.value, p, w.aw_snapshot, record);
         self.refresh_var_hash(w.var);
-        let cc = self.cache.write(p, w.var);
-        self.accessed[w.var.index()].insert(p);
-
-        let totals = self.metrics.proc_mut(p);
-        totals.events += 1;
-        if self.spec.owner(w.var) != Some(p) {
-            totals.rmr_dsm += 1;
+        if let Some(acc) = &mut self.accounting {
+            acc.access(p, w.var, true, remote, critical);
         }
-        totals.rmr_wt += cc.wt_rmr as u64;
-        totals.rmr_wb += cc.wb_rmr as u64;
-        totals.critical += critical as u64;
 
         Ok(Event {
             seq: self.next_seq(),
@@ -801,9 +917,8 @@ impl Machine {
             CrashState::Down => {
                 // The recovery event: the process resumes at the recovery
                 // section its program jumped to when it crashed.
-                let entry = &mut self.procs[p.index()];
-                entry.crash = CrashState::Running;
-                self.metrics.proc_mut(p).events += 1;
+                self.procs[p.index()].crash = CrashState::Running;
+                self.count_event(p);
                 return Ok(Event {
                     seq: self.next_seq(),
                     pid: p,
@@ -821,9 +936,9 @@ impl Machine {
             let entry = &mut self.procs[p.index()];
             entry.in_fence = false;
             entry.program.apply(Outcome::FenceDone);
-            let totals = self.metrics.proc_mut(p);
-            totals.events += 1;
-            totals.fences += 1;
+            if let Some(totals) = self.count_event(p) {
+                totals.fences += 1;
+            }
             return Ok(Event {
                 seq: self.next_seq(),
                 pid: p,
@@ -841,7 +956,7 @@ impl Machine {
                 let snapshot = entry.aw.snapshot();
                 entry.buffer.issue(v, value, snapshot);
                 entry.program.apply(Outcome::WriteIssued);
-                self.metrics.proc_mut(p).events += 1;
+                self.count_event(p);
                 Ok(Event {
                     seq: self.next_seq(),
                     pid: p,
@@ -850,10 +965,9 @@ impl Machine {
                 })
             }
             Op::Fence => {
-                let entry = &mut self.procs[p.index()];
-                entry.in_fence = true;
+                self.procs[p.index()].in_fence = true;
                 // The program is not advanced until EndFence.
-                self.metrics.proc_mut(p).events += 1;
+                self.count_event(p);
                 Ok(Event {
                     seq: self.next_seq(),
                     pid: p,
@@ -878,7 +992,7 @@ impl Machine {
         let entry = &mut self.procs[p.index()];
         if let Some(value) = entry.buffer.pending_value(v) {
             entry.program.apply(Outcome::ReadValue(value));
-            self.metrics.proc_mut(p).events += 1;
+            self.count_event(p);
             return Event {
                 seq: self.next_seq(),
                 pid: p,
@@ -891,16 +1005,8 @@ impl Machine {
             };
         }
 
-        let state = self.vars.get(v);
-        let value = state.value;
-        // Awareness: reading v makes p aware of its last writer and of
-        // everything that writer was aware of when it issued the write.
-        if let Some(q) = state.writer {
-            let writer_aw = state.writer_aw.clone();
-            let entry = &mut self.procs[p.index()];
-            entry.aw.insert(q);
-            entry.aw.union_with(&writer_aw);
-        }
+        let value = self.vars.get(v).value;
+        self.learn_from_read(p, v);
 
         let remote = self.is_remote(p, v);
         let entry = &mut self.procs[p.index()];
@@ -909,15 +1015,9 @@ impl Machine {
             remote_reads_insert(&mut entry.remote_reads, v);
         }
         entry.program.apply(Outcome::ReadValue(value));
-
-        let cc = self.cache.read(p, v);
-        self.accessed[v.index()].insert(p);
-        let totals = self.metrics.proc_mut(p);
-        totals.events += 1;
-        totals.rmr_dsm += remote as u64;
-        totals.rmr_wt += cc.wt_rmr as u64;
-        totals.rmr_wb += cc.wb_rmr as u64;
-        totals.critical += critical as u64;
+        if let Some(acc) = &mut self.accounting {
+            acc.access(p, v, false, remote, critical);
+        }
 
         Event {
             seq: self.next_seq(),
@@ -933,42 +1033,25 @@ impl Machine {
 
     fn do_cas(&mut self, p: ProcId, var: VarId, expected: Value, new: Value) -> Event {
         let critical = self.cas_would_be_critical(p, var);
-        let state = self.vars.get(var);
-        let observed = state.value;
+        let observed = self.vars.get(var).value;
         let success = observed == expected;
 
         // Awareness from the read half.
-        if let Some(q) = state.writer {
-            let writer_aw = state.writer_aw.clone();
-            let entry = &mut self.procs[p.index()];
-            entry.aw.insert(q);
-            entry.aw.union_with(&writer_aw);
-        }
+        self.learn_from_read(p, var);
 
         let remote = self.is_remote(p, var);
-        {
-            let entry = &mut self.procs[p.index()];
-            if remote {
-                remote_reads_insert(&mut entry.remote_reads, var);
-            }
+        if remote {
+            remote_reads_insert(&mut self.procs[p.index()].remote_reads, var);
         }
         if success {
             let snapshot = self.procs[p.index()].aw.snapshot();
-            self.vars.commit(var, new, p, snapshot);
+            let record = self.accounting.is_some();
+            self.vars.commit(var, new, p, snapshot, record);
             self.refresh_var_hash(var);
         }
-        // For coherence, a CAS (even a failed one) behaves as a write: the
-        // LOCK prefix acquires the line exclusively.
-        let cc = self.cache.write(p, var);
-        self.accessed[var.index()].insert(p);
-
-        let totals = self.metrics.proc_mut(p);
-        totals.events += 1;
-        totals.rmr_dsm += remote as u64;
-        totals.rmr_wt += cc.wt_rmr as u64;
-        totals.rmr_wb += cc.wb_rmr as u64;
-        totals.critical += critical as u64;
-        totals.fences += 1;
+        if let Some(acc) = &mut self.accounting {
+            acc.access(p, var, true, remote, critical).fences += 1;
+        }
 
         self.procs[p.index()]
             .program
@@ -1007,21 +1090,21 @@ impl Machine {
             }
         };
 
-        match kind {
-            EventKind::Enter => self.metrics.open_span(p, SpanKind::Passage),
-            EventKind::Invoke { op, .. } => self.metrics.open_span(p, SpanKind::Operation(op)),
-            _ => {}
-        }
-        self.metrics.proc_mut(p).events += 1;
-        match kind {
-            EventKind::Exit | EventKind::Return { .. } => {
-                self.metrics.close_span(p);
-                self.procs[p.index()].passages_completed += 1;
+        let completes = matches!(kind, EventKind::Exit | EventKind::Return { .. });
+        if let Some(acc) = &mut self.accounting {
+            match kind {
+                EventKind::Enter => acc.metrics.open_span(p, SpanKind::Passage),
+                EventKind::Invoke { op, .. } => acc.metrics.open_span(p, SpanKind::Operation(op)),
+                _ => {}
             }
-            _ => {}
+            acc.event(p);
+            if completes {
+                acc.metrics.close_span(p);
+            }
         }
 
         let entry = &mut self.procs[p.index()];
+        entry.passages_completed += completes as usize;
         entry.section = new_section;
         entry.program.apply(Outcome::Progressed);
 
@@ -1057,11 +1140,11 @@ impl Machine {
         };
         // A crash mid-passage abandons the open accounting span — the
         // passage never completes — and drops the process' cached copies.
-        self.metrics.abort_span(p);
-        self.metrics.proc_mut(p).events += 1;
-        let mut gone = std::collections::BTreeSet::new();
-        gone.insert(p);
-        self.cache.purge(&gone);
+        if let Some(acc) = &mut self.accounting {
+            acc.metrics.abort_span(p);
+            acc.event(p);
+            acc.cache.purge(&BTreeSet::from([p]));
+        }
         let old = self.global_component();
         self.crashes_executed += 1;
         self.writes_lost += lost;
@@ -1138,14 +1221,11 @@ impl Machine {
     /// process, an erased process already finished a passage, or this
     /// machine is a [`Machine::fork_for_search`] copy (whose dropped
     /// commit history the rewind would need).
-    pub fn erase_in_place(
-        &mut self,
-        erased: &std::collections::BTreeSet<ProcId>,
-    ) -> Result<(), StepError> {
+    pub fn erase_in_place(&mut self, erased: &BTreeSet<ProcId>) -> Result<(), StepError> {
         if erased.is_empty() {
             return Ok(());
         }
-        if self.search_fork {
+        if self.accounting.is_none() {
             return Err(StepError::InvalidErasure(
                 "search forks drop the commit history erasure rewinds through".into(),
             ));
@@ -1194,10 +1274,9 @@ impl Machine {
         for v in 0..self.vars.count() {
             self.vars.revert_erased(VarId(v as u32), erased);
         }
-        for set in &mut self.accessed {
-            set.retain(|p| !erased.contains(p));
+        if let Some(acc) = &mut self.accounting {
+            acc.erase(erased);
         }
-        self.cache.purge(erased);
 
         // Tombstone the processes.
         for &p in erased {
@@ -1209,7 +1288,6 @@ impl Machine {
             entry.buffer = WriteBuffer::new();
             entry.aw = AwSet::singleton(p);
             entry.remote_reads.clear();
-            self.metrics.reset_proc(p);
         }
         // Erasure rewrites variables and processes wholesale; recompute the
         // rolling hash from scratch rather than tracking each rewind.
@@ -1283,66 +1361,78 @@ impl Machine {
 
     /// Convenience: fences completed by `p` (EndFence events plus CAS
     /// operations).
+    ///
+    /// # Panics
+    ///
+    /// On a [`Machine::fork_for_search`] copy, which keeps no metrics.
     pub fn fences_completed(&self, p: ProcId) -> u64 {
-        self.metrics.proc(p).totals.fences
+        self.metrics().proc(p).totals.fences
     }
 
     /// Convenience: critical events executed by `p`.
+    ///
+    /// # Panics
+    ///
+    /// On a [`Machine::fork_for_search`] copy, which keeps no metrics.
     pub fn criticals(&self, p: ProcId) -> u64 {
-        self.metrics.proc(p).totals.critical
+        self.metrics().proc(p).totals.critical
     }
 
     /// Snapshots the machine: a behaviourally identical copy sharing
-    /// nothing with `self`. The schedule explorer (`tpa-check`) forks the
-    /// machine at every branching point.
+    /// nothing with `self`, with all of its bookkeeping. (The schedule
+    /// explorer branches with [`Machine::fork_for_search`] instead.)
     pub fn fork(&self) -> Machine {
         Machine {
             model: self.model,
             spec: self.spec.clone(),
             vars: self.vars.clone(),
-            cache: self.cache.clone(),
             procs: self.procs.iter().map(ProcEntry::fork).collect(),
-            accessed: self.accessed.clone(),
             log: self.log.clone(),
             schedule: self.schedule.clone(),
-            metrics: self.metrics.clone(),
+            accounting: self.accounting.clone(),
             var_hash: self.var_hash.clone(),
             proc_hash: self.proc_hash.clone(),
             hash: self.hash,
             crash_budget: self.crash_budget,
             crashes_executed: self.crashes_executed,
             writes_lost: self.writes_lost,
-            search_fork: self.search_fork,
             probe: self.probe.clone(),
         }
     }
 
     /// A fork specialised for the schedule explorer: behaviourally
     /// identical (same [`Machine::state_hash`], same enabled directives,
-    /// same invariant verdicts), but without the history the explorer
-    /// never reads back — the event log keeps only its last entry (the
-    /// store-buffer laws inspect it), the recorded schedule is dropped
-    /// (the explorer tracks its own path), and variable commit histories
-    /// are dropped (so [`Machine::erase_in_place`] errors on the copy).
-    /// This turns forking from O(executed events) into O(state size).
+    /// same events — `seq` included — and same invariant verdicts), but it
+    /// carries and updates only what a search reads: the state
+    /// [`Machine::state_hash`] covers, the last event (the store-buffer
+    /// laws inspect it) and the crash counters [`Machine::crashes_executed`]
+    /// and [`Machine::writes_lost`].
+    ///
+    /// Everything else is dropped, on the copy and on every step it
+    /// takes: the event log keeps only its last entry, the schedule stays
+    /// empty (the explorer tracks its own path), variable commit
+    /// histories are dropped (so [`Machine::erase_in_place`] errors on the
+    /// copy), and the RMR, access, passage and awareness bookkeeping is
+    /// gone — [`Machine::metrics`], [`Machine::accessed`],
+    /// [`Machine::awareness`], [`Machine::fences_completed`] and
+    /// [`Machine::criticals`] panic on it. A fork of a search fork is
+    /// again a search fork. This turns forking from O(executed events)
+    /// into O(state size), with no per-variable sets to copy.
     pub fn fork_for_search(&self) -> Machine {
         Machine {
             model: self.model,
             spec: self.spec.clone(),
             vars: self.vars.clone_for_search(),
-            cache: self.cache.clone(),
             procs: self.procs.iter().map(ProcEntry::fork).collect(),
-            accessed: self.accessed.clone(),
             log: self.log.last().map(|e| vec![*e]).unwrap_or_default(),
             schedule: Vec::new(),
-            metrics: self.metrics.clone(),
+            accounting: None,
             var_hash: self.var_hash.clone(),
             proc_hash: self.proc_hash.clone(),
             hash: self.hash,
             crash_budget: self.crash_budget,
             crashes_executed: self.crashes_executed,
             writes_lost: self.writes_lost,
-            search_fork: true,
             probe: None,
         }
     }
@@ -1358,6 +1448,9 @@ impl Machine {
     /// log, awareness sets, RMR metrics and cache occupancy — two states
     /// agreeing on everything hashed here generate identical future event
     /// sequences for every schedule, so the explorer may treat them as one.
+    /// The exclusions are also what a [`Machine::fork_for_search`] copy
+    /// drops (it keeps the last event and the crash counters besides the
+    /// hashed state), and its accounting accessors panic.
     ///
     /// The value is maintained *incrementally* as the xor of independently
     /// seeded per-variable and per-process [`FxHasher`] components, so this

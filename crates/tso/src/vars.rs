@@ -209,12 +209,24 @@ impl VarTable {
         &self.states[v.index()]
     }
 
-    pub fn commit(&mut self, v: VarId, value: Value, writer: ProcId, writer_aw: AwSet) {
+    /// Commits `value` to `v`. With `record` the commit is also appended
+    /// to `v`'s history; search forks pass `false`, since they refuse the
+    /// in-place erasure that reads it.
+    pub fn commit(
+        &mut self,
+        v: VarId,
+        value: Value,
+        writer: ProcId,
+        writer_aw: AwSet,
+        record: bool,
+    ) {
         let s = &mut self.states[v.index()];
         s.value = value;
         s.writer = Some(writer);
-        s.writer_aw = writer_aw.clone();
-        s.history.push((writer, value, writer_aw));
+        if record {
+            s.history.push((writer, value, writer_aw.clone()));
+        }
+        s.writer_aw = writer_aw;
     }
 
     /// Removes every commit by a process in `erased` from `v`'s history and
@@ -245,7 +257,8 @@ impl VarTable {
 
     /// A history-free copy for [`Machine::fork_for_search`]: the commit
     /// history exists only to serve in-place erasure, which search forks
-    /// forbid, so dropping it makes forking O(vars) instead of O(commits).
+    /// forbid, so dropping it makes forking O(vars) instead of O(commits)
+    /// (and the fork's own commits pass `record = false`).
     pub fn clone_for_search(&self) -> Self {
         VarTable {
             states: self
@@ -320,10 +333,19 @@ mod tests {
         let spec = VarSpec::remote(2);
         let mut t = VarTable::new(&spec);
         assert_eq!(t.get(VarId(0)).writer, None);
-        t.commit(VarId(0), 5, ProcId(1), AwSet::singleton(ProcId(1)));
+        t.commit(VarId(0), 5, ProcId(1), AwSet::singleton(ProcId(1)), true);
         let s = t.get(VarId(0));
         assert_eq!(s.value, 5);
         assert_eq!(s.writer, Some(ProcId(1)));
         assert!(s.writer_aw.contains(ProcId(1)));
+        assert_eq!(s.history.len(), 1);
+        t.commit(VarId(0), 6, ProcId(0), AwSet::singleton(ProcId(0)), false);
+        let s = t.get(VarId(0));
+        assert_eq!((s.value, s.writer), (6, Some(ProcId(0))));
+        assert_eq!(
+            s.history.len(),
+            1,
+            "an unrecorded commit leaves the history"
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! writes, CAS, fences, PSO out-of-order commits) and assert the two
 //! never diverge — the contract every future `step` extension must keep.
 
+use std::panic::AssertUnwindSafe;
+
 use tpa_tso::machine::StateKey;
 use tpa_tso::sched::XorShift;
 use tpa_tso::scripted::{Instr, ScriptSystem};
@@ -138,6 +140,68 @@ fn search_forks_refuse_in_place_erasure() {
         search.erase_in_place(&erased).is_err(),
         "search forks dropped the commit history; erasure must be rejected"
     );
+}
+
+/// A search fork keeps none of the lower bound's bookkeeping, so each
+/// accessor for it panics, naming `fork_for_search`, rather than answer
+/// from data that stopped being maintained; a full fork of the same
+/// machine still answers, with the original's values.
+#[test]
+fn search_forks_refuse_accounting_queries() {
+    let sys = mixed_system();
+    let mut machine = Machine::with_model(&sys, MemoryModel::Tso);
+    let p = ProcId(0);
+    // p0 runs its whole script: a remote read, a CAS and a fence, so
+    // every counter below is non-zero.
+    while !machine.enabled_directives(p).is_empty() {
+        machine.step(Directive::Issue(p)).expect("p0 runs solo");
+    }
+    let cas_var = VarId(2);
+    let search = machine.fork_for_search();
+    type Query = fn(&Machine, ProcId, VarId);
+    let queries: [(&str, Query); 5] = [
+        ("metrics", |m, _, _| {
+            let _ = m.metrics();
+        }),
+        ("accessed", |m, _, v| {
+            let _ = m.accessed(v);
+        }),
+        ("awareness", |m, p, _| {
+            let _ = m.awareness(p);
+        }),
+        ("fences_completed", |m, p, _| {
+            let _ = m.fences_completed(p);
+        }),
+        ("criticals", |m, p, _| {
+            let _ = m.criticals(p);
+        }),
+    ];
+    for (name, query) in queries {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| query(&search, p, cas_var)))
+            .expect_err(&format!("{name} answered on a search fork"));
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("fork_for_search"),
+            "{name} panicked without naming fork_for_search: {message:?}"
+        );
+    }
+
+    let full = machine.fork();
+    assert_eq!(
+        full.metrics().proc(p).totals,
+        machine.metrics().proc(p).totals
+    );
+    assert_eq!(full.accessed(cas_var), machine.accessed(cas_var));
+    assert!(full.accessed(cas_var).contains(&p));
+    assert_eq!(full.awareness(p), machine.awareness(p));
+    assert!(full.awareness(p).contains(p));
+    assert_eq!(full.fences_completed(p), 2, "the CAS and the fence");
+    assert_eq!(full.criticals(p), machine.criticals(p));
+    assert!(full.criticals(p) > 0);
 }
 
 #[test]

@@ -46,7 +46,12 @@
 #      `tpa_runs diff` pairs the resumed run against the uninterrupted
 #      control — bit-equal verdict and state counts, with the
 #      interrupted run skipped as superseded
-#  14. formatting check
+#  14. the benchmark's replay self-check: builds the `perf` package
+#      (examples/perf) against the current crates and runs `perf check`,
+#      which replays the n = 2 portfolio through the layers' public
+#      functions and fails unless it reproduces the engine's counters
+#      exactly
+#  15. formatting check
 #
 # Every stage runs under `timeout` (default 900 s per stage, override
 # with SMOKE_STAGE_TIMEOUT) so a wedged stage fails the smoke run
@@ -64,44 +69,44 @@ trap 'rm -rf "$SCRATCH"' EXIT
 STAGE_TIMEOUT="${SMOKE_STAGE_TIMEOUT:-900}"
 t() { timeout --foreground "$STAGE_TIMEOUT" "$@"; }
 
-echo "== [1/14] tier-1: build + tests =="
+echo "== [1/15] tier-1: build + tests =="
 t cargo build --offline --release --workspace
 t cargo test --offline -q --workspace
 
-echo "== [2/14] clippy (-D warnings) =="
+echo "== [2/15] clippy (-D warnings) =="
 t cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== [3/14] experiment harness (quick) =="
+echo "== [3/15] experiment harness (quick) =="
 TPA_BENCH_JSON="$SCRATCH/bench_report_all.json" \
     t cargo run --offline --release -p tpa-bench --bin report_all -- --quick
 
-echo "== [4/14] parallel explorer smoke (quick, 4 threads, timed) =="
+echo "== [4/15] parallel explorer smoke (quick, 4 threads, timed) =="
 time TPA_BENCH_JSON="$SCRATCH/bench_c1.json" \
     t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
 
-echo "== [5/14] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
+echo "== [5/15] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
 time t cargo test --offline --release -q \
     --test lock_correctness exhaustive_exclusion_every_lock_n3_with_symmetry
 time t cargo test --offline --release -q -p tpa-check \
     --test swarm_resilience swarm_witness_is_deterministic_across_thread_counts
 
-echo "== [6/14] bytecode VM: differential oracle + lockstep properties (timed) =="
+echo "== [6/15] bytecode VM: differential oracle + lockstep properties (timed) =="
 time t cargo test --offline --release -q -p tpa-check --test vm_differential
 time t cargo test --offline --release -q --test vm_props
 
-echo "== [7/14] scenario DSL corpus (check_file over scenarios/, timed) =="
+echo "== [7/15] scenario DSL corpus (check_file over scenarios/, timed) =="
 time t cargo run --offline --release -p tpa-check --bin check_file -- \
     scenarios/litmus/*.tpa scenarios/locks/*.tpa scenarios/crash/*.tpa
 time t cargo test --offline --release -q --test corpus
 t cargo test --offline --release -q --test dsl_diagnostics --test dsl_props
 
-echo "== [8/14] crash-fault model (quick, negative control + telemetry) =="
+echo "== [8/15] crash-fault model (quick, negative control + telemetry) =="
 TPA_OBS_JSONL="$SCRATCH/crash.jsonl" \
     t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick --threads 4
 test -s "$SCRATCH/crash.jsonl" || { echo "crash-model run log missing"; exit 1; }
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- "$SCRATCH/crash.jsonl"
 
-echo "== [9/14] telemetry: JSONL + Perfetto export, schema-validated =="
+echo "== [9/15] telemetry: JSONL + Perfetto export, schema-validated =="
 TPA_BENCH_JSON="$SCRATCH/bench_obs.json" \
 TPA_OBS_JSONL="$SCRATCH/run.jsonl" \
 TPA_OBS_TRACE="$SCRATCH/trace.json" \
@@ -111,7 +116,7 @@ test -s "$SCRATCH/trace.json" || { echo "telemetry trace missing"; exit 1; }
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- \
     "$SCRATCH/run.jsonl" "$SCRATCH/trace.json"
 
-echo "== [10/14] metrics registry + run ledger (corpus gate, diff, env fingerprint) =="
+echo "== [10/15] metrics registry + run ledger (corpus gate, diff, env fingerprint) =="
 LEDGER="$SCRATCH/ledger"
 # The whole corpus against the committed baseline: verdict flips,
 # clause-count changes and unique-state drift on complete passes fail
@@ -149,10 +154,10 @@ FIRST_RECORD="${RUN_RECORDS[0]}"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --record "$FIRST_RECORD"
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- --metrics "$SCRATCH/metrics.json"
 
-echo "== [11/14] ledger concurrency: appenders racing readers in one process =="
+echo "== [11/15] ledger concurrency: appenders racing readers in one process =="
 time t cargo test --offline --release -q --test ledger_concurrency
 
-echo "== [12/14] concurrent ledger: corpus writes racing a tpa_runs list loop =="
+echo "== [12/15] concurrent ledger: corpus writes racing a tpa_runs list loop =="
 CLEDGER="$SCRATCH/ledger-concurrent"
 TPA_RUNS=target/release/tpa_runs
 # First pass seeds the ledger so the post-race diff has pairs to judge.
@@ -191,7 +196,7 @@ tail -1 "$SCRATCH/diff-concurrent.txt"
 grep -q '^0 regressions' "$SCRATCH/diff-concurrent.txt" \
     || { echo "concurrent ledger diff found regressions"; cat "$SCRATCH/diff-concurrent.txt"; exit 1; }
 
-echo "== [13/14] checkpoint/resume durability (interrupt, resume, diff against control) =="
+echo "== [13/15] checkpoint/resume durability (interrupt, resume, diff against control) =="
 CKPT="$SCRATCH/ckpt"
 CKPT_LEDGER="$SCRATCH/ledger-ckpt"
 # Uninterrupted control, ledgered.
@@ -225,7 +230,10 @@ grep -q 'skipped 1 interrupted run(s) superseded by a resume' "$SCRATCH/diff-ckp
     || { echo "interrupted run not skipped in diff pairing"; exit 1; }
 grep -q '^0 regressions' "$SCRATCH/diff-ckpt.txt" || { echo "resume diverged from control"; exit 1; }
 
-echo "== [14/14] cargo fmt --check =="
+echo "== [14/15] benchmark replay self-check (perf check) =="
+t cargo run --offline --release --manifest-path examples/perf/Cargo.toml -- check
+
+echo "== [15/15] cargo fmt --check =="
 t cargo fmt --all -- --check
 
 echo "smoke: all green"

@@ -241,48 +241,82 @@ fn erase_in_place_stays_in_lockstep() {
     }
 }
 
-/// Fork/step commutation on the compiled machine: forking before a step
-/// and stepping the fork reaches exactly the state of stepping the
-/// original and forking after — for both the full fork and the
-/// search-optimised flat-register fork, along a random walk.
+fn enabled_all(m: &Machine) -> Vec<Directive> {
+    (0..m.n() as u32)
+        .flat_map(|i| m.enabled_directives(ProcId(i)))
+        .collect()
+}
+
+/// Fork/step commutation across the lock portfolio, native and compiled,
+/// TSO and PSO, crash budgets 0 and 1: along a random walk, stepping a
+/// fork executes the same event as stepping the original (`seq` and
+/// `critical` included) and reaches the same state — same key, same
+/// enabled directives, same result from every invariant of the crash
+/// battery — for the full fork, the search fork, and a search fork taken
+/// after the step.
 #[test]
 fn fork_then_step_equals_step_then_fork() {
+    let battery = crash_invariants();
+    let verdicts = |m: &Machine| -> Vec<Option<(&'static str, String)>> {
+        battery
+            .iter()
+            .map(|inv| inv.check(m).map(|v| (v.invariant, v.detail)))
+            .collect()
+    };
     for lock in tpa::algos::all_locks(2, 1) {
         let vm_sys = lock.compile_vm().expect("system compiles");
-        let mut m = Machine::new(&vm_sys);
-        let mut rng = XorShift::new(0xf02c | 1);
-        for _ in 0..150 {
-            let mut all = Vec::new();
-            for i in 0..2u32 {
-                all.extend(m.enabled_directives(ProcId(i)));
+        let systems: [(&str, &dyn System); 2] = [("native", lock.as_ref()), ("vm", &vm_sys)];
+        for (execution, sys) in systems {
+            for model in [MemoryModel::Tso, MemoryModel::Pso] {
+                for crashes in [0, 1] {
+                    let ctx = format!(
+                        "{} ({execution}, {model:?}, crash budget {crashes})",
+                        lock.name()
+                    );
+                    let mut m = Machine::with_model(sys, model);
+                    m.set_crash_budget(crashes);
+                    let mut rng = XorShift::new(0xf02c | 1);
+                    for step in 0..150 {
+                        let all = enabled_all(&m);
+                        if all.is_empty() {
+                            break;
+                        }
+                        let d = all[rng.below(all.len())];
+                        let mut forked_full = m.fork();
+                        let mut forked_search = m.fork_for_search();
+                        let full_event = forked_full.step(d).unwrap();
+                        let search_event = forked_search.step(d).unwrap();
+                        let event = m.step(d).unwrap();
+                        assert_eq!(full_event, event, "{ctx}, step {step}: full fork's event");
+                        assert_eq!(
+                            search_event, event,
+                            "{ctx}, step {step}: search fork's event"
+                        );
+                        let reforked = m.fork_for_search();
+                        for (which, fork) in [
+                            ("full fork", &forked_full),
+                            ("search fork", &forked_search),
+                            ("search fork after the step", &reforked),
+                        ] {
+                            assert_eq!(
+                                fork.state_key(),
+                                m.state_key(),
+                                "{ctx}, step {step}: {which}'s state key"
+                            );
+                            assert_eq!(
+                                enabled_all(fork),
+                                enabled_all(&m),
+                                "{ctx}, step {step}: {which}'s enabled directives"
+                            );
+                            assert_eq!(
+                                verdicts(fork),
+                                verdicts(&m),
+                                "{ctx}, step {step}: {which}'s invariant results"
+                            );
+                        }
+                    }
+                }
             }
-            if all.is_empty() {
-                break;
-            }
-            let d = all[rng.below(all.len())];
-            let mut forked_full = m.fork();
-            let mut forked_search = m.fork_for_search();
-            forked_full.step(d).unwrap();
-            forked_search.step(d).unwrap();
-            m.step(d).unwrap();
-            assert_eq!(
-                forked_full.state_key(),
-                m.state_key(),
-                "{}: fork-then-step diverged from step-then-fork",
-                lock.name()
-            );
-            assert_eq!(
-                forked_search.state_key(),
-                m.state_key(),
-                "{}: search fork diverged after stepping",
-                lock.name()
-            );
-            assert_eq!(
-                m.fork_for_search().state_key(),
-                m.state_key(),
-                "{}: forking changed the state key",
-                lock.name()
-            );
         }
     }
 }
