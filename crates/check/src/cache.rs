@@ -17,8 +17,15 @@
 //!   cache entry from a lexicographically later part of the tree, no
 //!   matter which worker got there first.
 //!
+//! A [`Rank`] is stored as a byte string whose byte order is the index
+//! path's lexicographic order, typically one byte per edge. The byte
+//! length is not the depth (a wide index takes five bytes), so entries
+//! keep their depth beside the rank.
+//!
 //! Entries live in `Mutex<HashMap>` shards selected by the state key's
 //! low bits, so concurrent lookups of different states rarely contend.
+//! Each key's entry list is allocated at its exact length: most keys
+//! hold one or two entries, and a doubling `Vec` would reserve four.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -27,11 +34,67 @@ use tpa_tso::{FxBuildHasher, StateKey};
 
 use crate::sleep::SleepSet;
 
+/// Lead byte of an index that does not fit in one byte; its four
+/// big-endian bytes follow.
+const WIDE: u8 = 0xFF;
+
 /// A node's position in the schedule tree: the sibling index (within the
 /// parent's `enabled_all` order) of every edge from the root. Ordering
-/// rank vectors lexicographically orders nodes in sequential-DFS
-/// visitation order.
-pub(crate) type Rank = Arc<[u32]>;
+/// ranks orders nodes in sequential-DFS visitation order.
+///
+/// The indices are encoded so that byte order equals index-path order:
+/// an index below 255 is one byte, any other is [`WIDE`] followed by its
+/// four big-endian bytes. Every one-byte index sorts below every wide
+/// one, wide indices compare by their big-endian bytes, and a proper
+/// prefix sorts first, so the derived `Ord` is one `memcmp`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Rank(Arc<[u8]>);
+
+/// The encoding of one sibling index, and how many of its bytes are used.
+fn encode(index: u32) -> ([u8; 5], usize) {
+    match u8::try_from(index) {
+        Ok(b) if b != WIDE => ([b, 0, 0, 0, 0], 1),
+        _ => {
+            let [a, b, c, d] = index.to_be_bytes();
+            ([WIDE, a, b, c, d], 5)
+        }
+    }
+}
+
+impl Rank {
+    /// The rank of this node's `index`-th child, in one allocation.
+    pub fn child(&self, index: u32) -> Rank {
+        let (tail, len) = encode(index);
+        // A chain of slice iterators has an exact length, so `collect`
+        // allocates the `Arc` once and copies straight into it.
+        Rank(self.0.iter().chain(&tail[..len]).copied().collect())
+    }
+
+    /// The rank of the path `indices`.
+    pub fn from_indices(indices: &[u32]) -> Rank {
+        let mut bytes = Vec::with_capacity(indices.len());
+        for &i in indices {
+            let (enc, len) = encode(i);
+            bytes.extend_from_slice(&enc[..len]);
+        }
+        Rank(Arc::from(bytes))
+    }
+
+    /// The sibling indices from the root, decoded.
+    pub fn indices(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            let (&lead, tail) = rest.split_first()?;
+            if lead != WIDE {
+                rest = tail;
+                return Some(lead as u32);
+            }
+            let (wide, tail) = tail.split_at(4);
+            rest = tail;
+            Some(u32::from_be_bytes(wide.try_into().expect("four bytes")))
+        })
+    }
+}
 
 struct CacheEntry {
     sleep: SleepSet,
@@ -44,8 +107,8 @@ impl CacheEntry {
     /// `(sleep, depth, rank)`: it had at least as many directives awake,
     /// at least as much remaining depth budget, and sits at a
     /// lexicographically earlier-or-equal position.
-    fn subsumes(&self, sleep: &SleepSet, depth: u32, rank: &[u32]) -> bool {
-        self.depth <= depth && self.rank.as_ref() <= rank && self.sleep.is_subset(sleep)
+    fn subsumes(&self, sleep: &SleepSet, depth: u32, rank: &Rank) -> bool {
+        self.depth <= depth && self.rank <= *rank && self.sleep.is_subset(sleep)
     }
 }
 
@@ -88,10 +151,9 @@ impl StateCache {
         }
         // Drop entries the new visit subsumes, so per-key lists stay short.
         let before = entries.len();
-        entries.retain(|e| {
-            !(depth <= e.depth && rank.as_ref() <= e.rank.as_ref() && sleep.is_subset(&e.sleep))
-        });
+        entries.retain(|e| !(depth <= e.depth && *rank <= e.rank && sleep.is_subset(&e.sleep)));
         let evicted = (before - entries.len()) as u64;
+        entries.reserve_exact(1);
         entries.push(CacheEntry {
             sleep: sleep.clone(),
             depth,
@@ -113,7 +175,7 @@ impl StateCache {
                 .map(|e| crate::checkpoint::CacheEntryData {
                     sleep: e.sleep.iter().collect(),
                     depth: e.depth,
-                    rank: e.rank.to_vec(),
+                    rank: e.rank.indices().collect(),
                 })
                 .collect()
         };
@@ -149,7 +211,7 @@ mod tests {
         for &p in asleep {
             sleep.insert(Directive::Issue(ProcId(p)));
         }
-        c.try_visit(StateKey(key), &sleep, depth, &Arc::from(rank))
+        c.try_visit(StateKey(key), &sleep, depth, &Rank::from_indices(rank))
     }
 
     #[test]
@@ -188,6 +250,60 @@ mod tests {
         // A strictly stronger visit (fewer asleep, shallower, earlier)
         // evicts the recorded one.
         assert_eq!(visit(&c, 7, &[], 2, &[1]), Some(1));
+    }
+
+    /// Random index paths mixing one-byte and wide indices (255 itself
+    /// included), with every proper prefix of each path added.
+    fn random_paths() -> Vec<Vec<u32>> {
+        let mut rng = tpa_tso::sched::XorShift::new(15);
+        let mut paths = Vec::new();
+        for _ in 0..200 {
+            let len = rng.below(8);
+            let path: Vec<u32> = (0..len)
+                .map(|_| match rng.below(4) {
+                    0 => rng.below(4) as u32,
+                    1 => 253 + rng.below(5) as u32,
+                    2 => rng.next_u64() as u32,
+                    _ => u32::MAX - rng.below(2) as u32,
+                })
+                .collect();
+            for cut in 0..len {
+                paths.push(path[..cut].to_vec());
+            }
+            paths.push(path);
+        }
+        paths
+    }
+
+    #[test]
+    fn rank_order_is_index_path_order() {
+        let paths = random_paths();
+        let ranks: Vec<Rank> = paths.iter().map(|p| Rank::from_indices(p)).collect();
+        for (a, ra) in paths.iter().zip(&ranks) {
+            for (b, rb) in paths.iter().zip(&ranks) {
+                assert_eq!(ra.cmp(rb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rank_decodes_to_its_indices() {
+        for path in random_paths() {
+            let rank = Rank::from_indices(&path);
+            assert_eq!(rank.indices().collect::<Vec<u32>>(), path);
+            // Building child by child gives the same bytes.
+            let built = path
+                .iter()
+                .fold(Rank::from_indices(&[]), |r, &i| r.child(i));
+            assert_eq!(built, rank);
+        }
+    }
+
+    #[test]
+    fn narrow_indices_take_one_byte_each() {
+        let path: Vec<u32> = (0..60).map(|i| (i * 7 % 255) as u32).collect();
+        assert_eq!(Rank::from_indices(&path).0.len(), 60);
+        assert_eq!(Rank::from_indices(&[255]).0.len(), 5);
     }
 
     #[test]

@@ -566,7 +566,9 @@ impl<'a> Checker<'a> {
     ///
     /// [`CheckpointError::Incompatible`] naming the first mismatching
     /// fingerprint field — a different system or battery, or a stale
-    /// checkpoint whose scenario has since been edited or recompiled.
+    /// checkpoint whose scenario has since been edited or recompiled —
+    /// or the first frontier node or violation candidate whose stored
+    /// position does not replay on this system.
     pub fn resume_from(mut self, ckpt: Checkpoint) -> Result<Self, CheckpointError> {
         let fp = &ckpt.fingerprint;
         self.model = fp.model;
@@ -584,19 +586,17 @@ impl<'a> Checker<'a> {
                 StateKeys::Concrete
             },
         };
-        let ours = self.current_fingerprint(fp.max_steps as usize);
-        if let Some(msg) = ours.mismatch(fp) {
-            return Err(CheckpointError::Incompatible(msg));
-        }
+        self.check_resumable(&ckpt)?;
         self.resume = Some(ckpt);
         Ok(self)
     }
 
-    /// The fingerprint this checker's exhaustive search would carry,
-    /// derived from scratch (compiling the VM and validating symmetry
-    /// exactly as [`Checker::exhaustive`] will, minus the metrics
-    /// side-effects).
-    fn current_fingerprint(&self, max_steps: usize) -> Fingerprint {
+    /// Refuses `ckpt` unless it belongs to this checker's exhaustive
+    /// search: the fingerprint derived from scratch (compiling the VM and
+    /// validating symmetry exactly as [`Checker::exhaustive`] will, minus
+    /// the metrics side-effects) must match, and every stored position
+    /// must replay on the system the search will run.
+    fn check_resumable(&self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let native = self.system.get();
         let compiled = if self.features.execution == Execution::Compiled {
             native.compile_vm()
@@ -613,13 +613,20 @@ impl<'a> Checker<'a> {
         } else {
             false
         };
-        self.build_fingerprint(
+        let ours = self.build_fingerprint(
             native,
             system,
             compiled.as_ref(),
             symmetry_engaged,
-            max_steps,
-        )
+            ckpt.fingerprint.max_steps as usize,
+        );
+        match ours
+            .mismatch(&ckpt.fingerprint)
+            .or_else(|| ckpt.replay_mismatch(system))
+        {
+            Some(msg) => Err(CheckpointError::Incompatible(msg)),
+            None => Ok(()),
+        }
     }
 
     /// Assembles the [`Fingerprint`] from already-derived parts (so the

@@ -2,7 +2,8 @@
 //!
 //! A checkpoint freezes an exhaustive search mid-flight: the explicit
 //! frontier (each node's rank, sleep set and schedule prefix — machines
-//! are rebuilt by replay on resume), the sharded visited-state cache
+//! are rebuilt on resume by replaying the rank, which must reproduce the
+//! stored prefix), the sharded visited-state cache
 //! with its rank tags, the effort counters, the best violation candidate
 //! found so far, and a [`Fingerprint`] of everything that determines the
 //! shape of the state space. Restoring all five reproduces the search's
@@ -35,7 +36,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use tpa_tso::{Directive, MemoryModel, ProcId, VarId};
+use tpa_tso::{Directive, MemoryModel, ProcId, System, VarId};
+
+use crate::explore::replay;
 
 /// File magic: `TPACKPT` plus a format generation digit.
 const MAGIC: &[u8; 8] = b"TPACKPT1";
@@ -293,8 +296,9 @@ pub(crate) struct CandidateData {
 }
 
 /// One frontier node, machine omitted: on resume the machine is rebuilt
-/// by replaying `path` from the initial state. (`path`, `rank` and the
-/// node's depth all grow by one per tree edge, so depth is `path.len()`.)
+/// by replaying `rank` from the initial state, and the replay must take
+/// exactly `path`. (`path`, `rank` and the node's depth all grow by one
+/// per tree edge, so depth is `path.len()`.)
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct FrontierNode {
     /// Sibling-index path from the root.
@@ -370,6 +374,57 @@ impl Checkpoint {
     /// written.
     pub fn has_candidate(&self) -> bool {
         self.candidate.is_some()
+    }
+
+    /// The first stored position that does not belong to `system` (the
+    /// system this checkpoint's fingerprint matched), as a diagnostic:
+    /// a frontier node or candidate whose rank names no enabled
+    /// directive or replays to a schedule other than the stored one, a
+    /// frontier sleep set naming a process or variable `system` lacks,
+    /// or a candidate naming an invariant outside the battery. Resuming
+    /// any of these would panic or search states the system cannot
+    /// reach.
+    pub(crate) fn replay_mismatch(&self, system: &dyn System) -> Option<String> {
+        let f = &self.fingerprint;
+        let replays = |rank: &[u32], stored: &[Directive]| {
+            replay(system, f.model, f.max_crashes, rank.iter().copied())
+                .is_some_and(|(_, schedule)| schedule == stored)
+        };
+        let vars = system.vars().count();
+        let known = |d: &Directive| {
+            d.pid().index() < system.n()
+                && match d {
+                    Directive::CommitVar(_, v) => v.index() < vars,
+                    _ => true,
+                }
+        };
+        for (i, node) in self.frontier.iter().enumerate() {
+            if !replays(&node.rank, &node.path) {
+                return Some(format!(
+                    "frontier node {i}: rank {:?} does not replay to its stored path {:?}",
+                    node.rank, node.path
+                ));
+            }
+            if let Some(d) = node.sleep.iter().find(|d| !known(d)) {
+                return Some(format!(
+                    "frontier node {i}: its sleep set names {d:?}, which this system lacks"
+                ));
+            }
+        }
+        let c = self.candidate.as_ref()?;
+        if !replays(&c.rank, &c.schedule) {
+            return Some(format!(
+                "candidate: rank {:?} does not replay to its stored schedule {:?}",
+                c.rank, c.schedule
+            ));
+        }
+        if !f.invariants.contains(&c.invariant) {
+            return Some(format!(
+                "candidate: invariant {:?} is not in the battery",
+                c.invariant
+            ));
+        }
+        None
     }
 
     /// A human-readable multi-line summary (`obs_validate --checkpoint`
@@ -579,11 +634,23 @@ impl Checkpoint {
         let node_count = r.count_u32(12)?; // rank + sleep + path length fields
         let mut frontier = Vec::with_capacity(node_count);
         for _ in 0..node_count {
-            frontier.push(FrontierNode {
+            let at = r.at;
+            let node = FrontierNode {
                 rank: r.ranks()?,
                 sleep: r.directives()?,
                 path: r.directives()?,
-            });
+            };
+            if node.rank.len() != node.path.len() {
+                return Err(r.fail_at(
+                    at,
+                    format!(
+                        "frontier node rank has {} indices but its path {} directives",
+                        node.rank.len(),
+                        node.path.len()
+                    ),
+                ));
+            }
+            frontier.push(node);
         }
         r.section = Section::Cache;
         let key_count = r.count_u64(12)?; // key + entry-count fields
@@ -593,11 +660,23 @@ impl Checkpoint {
             let entry_count = r.count_u32(12)?;
             let mut entries = Vec::with_capacity(entry_count);
             for _ in 0..entry_count {
-                entries.push(CacheEntryData {
+                let at = r.at;
+                let entry = CacheEntryData {
                     sleep: r.directives()?,
                     depth: r.u32()?,
                     rank: r.ranks()?,
-                });
+                };
+                if entry.rank.len() != entry.depth as usize {
+                    return Err(r.fail_at(
+                        at,
+                        format!(
+                            "cache entry rank has {} indices but depth {}",
+                            entry.rank.len(),
+                            entry.depth
+                        ),
+                    ));
+                }
+                entries.push(entry);
             }
             cache.push((key, entries));
         }
@@ -1026,6 +1105,113 @@ mod tests {
         let msg = a.mismatch(&c).expect("hashes differ");
         assert!(msg.contains("stale"), "{msg}");
         assert_eq!(a.mismatch(&a.clone()), None);
+    }
+
+    #[test]
+    fn rank_lengths_that_disagree_are_corrupt() {
+        let mut long_path = sample();
+        long_path.frontier[0].path.push(Directive::Issue(ProcId(0)));
+        let mut deep_entry = sample();
+        deep_entry.cache[0].1[0].depth = 2;
+        for (bad, section) in [(long_path, Section::Frontier), (deep_entry, Section::Cache)] {
+            match Checkpoint::decode(&bad.encode()) {
+                Err(CheckpointError::Corrupt { section: s, .. }) => assert_eq!(s, section),
+                other => panic!("{section} length mismatch: {other:?}"),
+            }
+        }
+    }
+
+    /// Well-formed, correctly checksummed checkpoints whose stored
+    /// positions do not belong to the system must be refused by
+    /// `resume_from`, not accepted and left to panic inside the search.
+    #[test]
+    fn positions_that_do_not_replay_are_incompatible() {
+        use crate::{Checker, Verdict};
+        use tpa_tso::scripted::{Instr, ScriptSystem};
+        let sys = ScriptSystem::new(2, 2, |pid| {
+            vec![
+                Instr::Write {
+                    var: pid.0,
+                    value: 1,
+                },
+                Instr::Read {
+                    var: 1 - pid.0,
+                    reg: 0,
+                },
+                Instr::Halt,
+            ]
+        });
+        let dir = std::env::temp_dir().join(format!("tpa-ckpt-replay-{}", std::process::id()));
+        let report = Checker::new(&sys)
+            .max_steps(24)
+            .max_transitions(3)
+            .checkpoint_dir(&dir)
+            .exhaustive();
+        let Verdict::Incomplete {
+            checkpoint: Some(path),
+            ..
+        } = &report.verdict
+        else {
+            panic!("a 3-transition budget must interrupt and checkpoint");
+        };
+        let real = Checkpoint::load(path).expect("load");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(Checker::new(&sys).resume_from(real.clone()).is_ok());
+
+        let issue = |p| Directive::Issue(ProcId(p));
+        let node = |rank: Vec<u32>, sleep, path| FrontierNode { rank, sleep, path };
+        let with_frontier = |frontier| Checkpoint {
+            frontier: vec![frontier],
+            ..real.clone()
+        };
+        let with_candidate = |rank, invariant: &str, schedule| Checkpoint {
+            candidate: Some(CandidateData {
+                rank,
+                invariant: invariant.to_owned(),
+                detail: String::new(),
+                schedule,
+            }),
+            ..real.clone()
+        };
+        let battery = real.fingerprint.invariants[0].as_str();
+        let crafted = [
+            (
+                "a commit from an empty buffer",
+                with_frontier(node(vec![1], vec![], vec![Directive::Commit(ProcId(1))])),
+            ),
+            (
+                "an index out of range",
+                with_frontier(node(vec![7], vec![], vec![issue(1)])),
+            ),
+            (
+                "a sleeping process the system lacks",
+                with_frontier(node(vec![0], vec![issue(5)], vec![issue(0)])),
+            ),
+            (
+                "a sleeping variable the system lacks",
+                with_frontier(node(
+                    vec![0],
+                    vec![Directive::CommitVar(ProcId(1), VarId(9))],
+                    vec![issue(0)],
+                )),
+            ),
+            (
+                "a candidate schedule its rank does not replay to",
+                with_candidate(vec![0, 0], battery, vec![issue(1), issue(1)]),
+            ),
+            (
+                "a candidate invariant outside the battery",
+                with_candidate(vec![0], "no-such-invariant", vec![issue(0)]),
+            ),
+        ];
+        for (what, ckpt) in crafted {
+            let decoded = Checkpoint::decode(&ckpt.encode()).expect("well-formed");
+            match Checker::new(&sys).resume_from(decoded) {
+                Err(CheckpointError::Incompatible(_)) => {}
+                Err(other) => panic!("{what}: wrong error class: {other}"),
+                Ok(_) => panic!("{what}: resume_from accepted it"),
+            }
+        }
     }
 
     #[test]

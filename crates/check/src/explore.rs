@@ -23,7 +23,7 @@
 //! configuration types. The search is driven through
 //! [`Checker`](crate::Checker).
 
-use tpa_tso::{Directive, Machine, ProcId};
+use tpa_tso::{Directive, Machine, MemoryModel, ProcId, System};
 
 use crate::invariant::Violation;
 
@@ -114,6 +114,30 @@ pub fn enabled_all(machine: &Machine) -> Vec<Directive> {
     (0..machine.n())
         .flat_map(|i| machine.enabled_directives(ProcId(i as u32)))
         .collect()
+}
+
+/// Replays the sibling-index path `indices` (a node's rank) from the
+/// initial state of `system`: each index picks a directive from
+/// [`enabled_all`] of the state reached so far. Returns the machine at
+/// the end of the path and the schedule that reached it, or `None` when
+/// an index names no enabled directive.
+pub(crate) fn replay(
+    system: &dyn System,
+    model: MemoryModel,
+    max_crashes: u32,
+    indices: impl IntoIterator<Item = u32>,
+) -> Option<(Machine, Vec<Directive>)> {
+    let mut machine = Machine::with_model(system, model);
+    machine.set_crash_budget(max_crashes);
+    let mut schedule = Vec::new();
+    for i in indices {
+        let d = *enabled_all(&machine).get(i as usize)?;
+        machine
+            .step(d)
+            .unwrap_or_else(|e| panic!("replay: enabled directive {d:?} failed: {e:?}"));
+        schedule.push(d);
+    }
+    Some((machine, schedule))
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! the identical witness schedule — are:
 //!
 //! * every node carries its **rank** (the path of sibling indices from
-//!   the root); ranks order nodes exactly as a sequential DFS would
-//!   visit them;
+//!   the root, as a compact byte string); ranks order nodes exactly as a
+//!   sequential DFS would visit them;
 //! * the [`StateCache`](crate::cache) only lets a recorded visit
 //!   suppress revisits at greater-or-equal ranks, so the
 //!   lexicographically least path to any reachable state is explored no
@@ -25,18 +25,25 @@
 //! Workers donate the bottom half of their private stack (their
 //! lexicographically *latest* work) to the shared queue whenever it runs
 //! empty, so load balance never depends on the initial subtree split.
+//!
+//! Nodes and candidates carry no schedule. A rank names its path
+//! completely, so `Engine::schedule` rebuilds the directives by
+//! replaying the rank from the initial state, only for the two places
+//! that need them: the reported witness and a checkpoint's frontier.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use tpa_obs::{Metrics, Probe, WorkerSnapshot};
 use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
 
 use crate::cache::{Rank, StateCache};
 use crate::checkpoint::{CandidateData, Counters, FrontierNode};
-use crate::explore::{enabled_all, panic_message, ExploreConfig, FoundViolation, IncompleteReason};
+use crate::explore::{
+    enabled_all, panic_message, replay, ExploreConfig, FoundViolation, IncompleteReason,
+};
 use crate::invariant::{Invariant, Violation};
 use crate::sleep::SleepSet;
 use crate::verdict::EffortStats;
@@ -114,21 +121,20 @@ pub(crate) struct ExhaustiveOutcome {
     pub checkpoint: Option<(String, PathBuf)>,
 }
 
-/// A frontier node: a state plus everything needed to expand it.
+/// A frontier node: a state plus everything needed to expand it. Its
+/// schedule from the root is [`Engine::schedule`] of its rank.
 struct Node {
     machine: Machine,
     sleep: SleepSet,
     depth: u32,
     rank: Rank,
-    /// The schedule from the root (the witness prefix).
-    path: Vec<Directive>,
 }
 
 /// A violation candidate, ordered by the rank of the node that exhibited
 /// it.
 struct Candidate {
     rank: Rank,
-    found: FoundViolation,
+    violation: Violation,
 }
 
 struct WorkQueue {
@@ -297,6 +303,10 @@ impl WorkerStats {
 }
 
 struct Engine<'a> {
+    /// The system and model searched: [`Engine::schedule`] replays ranks
+    /// against them.
+    system: &'a dyn System,
+    model: MemoryModel,
     invariants: &'a [Box<dyn Invariant>],
     config: &'a ExploreConfig,
     threads: usize,
@@ -343,9 +353,9 @@ struct Engine<'a> {
     /// retirement.
     telemetry: Telemetry<'a>,
     /// When present, states are cached under their canonical (orbit-
-    /// minimal) key and sleep sets are relabeled to match; ranks, paths
-    /// and the frontier stay concrete, so the reported witness is still
-    /// the lexicographically least *un-renamed* schedule.
+    /// minimal) key and sleep sets are relabeled to match; ranks and the
+    /// frontier stay concrete, so the reported witness is still the
+    /// lexicographically least *un-renamed* schedule.
     symmetry: Option<&'a SymmetryGroup>,
 }
 
@@ -394,7 +404,7 @@ fn cache_coords(
 ///
 /// `resume` seeds the search from a decoded checkpoint instead of the
 /// root: the cache image is re-imported, the candidate re-offered, and
-/// the frontier machines rebuilt by replaying their schedule prefixes.
+/// the frontier machines rebuilt by replaying their ranks.
 /// `checkpoints` arms snapshotting: periodically every
 /// `hooks.every` node expansions, and unconditionally when an abort
 /// (deadline, budget, worker panic) fires. Both together make
@@ -442,6 +452,8 @@ pub(crate) fn run_exhaustive(
     }
 
     let engine = Engine {
+        system,
+        model,
         invariants,
         config,
         threads,
@@ -488,7 +500,7 @@ pub(crate) fn run_exhaustive(
 
     match resume {
         None => {
-            let root_rank: Rank = Arc::from(&[] as &[u32]);
+            let root_rank = Rank::from_indices(&[]);
             let (root_key, _) = cache_coords(&root, &SleepSet::empty(), symmetry);
             engine
                 .cache
@@ -503,10 +515,9 @@ pub(crate) fn run_exhaustive(
                     sleep: SleepSet::empty(),
                     depth: 0,
                     rank: root_rank,
-                    path: Vec::new(),
                 });
         }
-        Some(seed) => engine.seed_resume(system, model, seed),
+        Some(seed) => engine.seed_resume(seed),
     }
 
     // The run loop: each iteration is one "leg" — spawn workers, let them
@@ -573,6 +584,16 @@ pub(crate) fn run_exhaustive(
         engine.pause.store(false, Ordering::Relaxed);
     }
 
+    let found = engine
+        .best
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .take()
+        .filter(|_| !provisional)
+        .map(|c| FoundViolation {
+            schedule: engine.schedule(&c.rank),
+            violation: c.violation,
+        });
     let incomplete = engine
         .abort_reason
         .into_inner()
@@ -604,12 +625,6 @@ pub(crate) fn run_exhaustive(
         }
     }
     workers.sort_by_key(|w| w.worker);
-    let found = engine
-        .best
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .filter(|_| !provisional)
-        .map(|c| c.found);
     ExhaustiveOutcome {
         found,
         stats,
@@ -621,28 +636,33 @@ pub(crate) fn run_exhaustive(
 impl Engine<'_> {
     /// Seeds the engine from a decoded checkpoint: re-imports the cache
     /// image, re-offers the violation candidate, and rebuilds each
-    /// frontier machine by replaying its schedule prefix from the
-    /// initial state (checkpoints store schedules, not machine guts —
-    /// the machine's own `step` is the deserialiser, so a checkpoint can
-    /// never smuggle in a state the system cannot actually reach).
+    /// frontier machine by replaying its rank from the initial state
+    /// (checkpoints store positions, not machine guts — the machine's own
+    /// `step` is the deserialiser, so a checkpoint can never smuggle in a
+    /// state the system cannot actually reach).
     ///
-    /// Panics if the checkpoint disagrees with the system (a prefix
-    /// fails to replay, or the candidate names an unknown invariant);
-    /// [`crate::Checker::resume_from`] verifies the fingerprint first,
-    /// so reaching either panic means the caller bypassed it.
-    fn seed_resume(&self, system: &dyn System, model: MemoryModel, seed: ResumeSeed) {
+    /// Panics if the checkpoint disagrees with the system (a rank fails
+    /// to replay, or the candidate names an unknown invariant);
+    /// [`crate::Checker::resume_from`] replays every rank and resolves
+    /// the candidate first, so reaching either panic means the caller
+    /// bypassed it.
+    fn seed_resume(&self, seed: ResumeSeed) {
         for (key, entries) in &seed.cache {
             for e in entries {
                 let mut sleep = SleepSet::empty();
                 for &d in &e.sleep {
                     sleep.insert(d);
                 }
-                let rank: Rank = Arc::from(e.rank.as_slice());
                 // Imports are always accepted (live entries are pairwise
                 // non-subsuming), and crucially the key is recorded even
                 // if one were not — `unique_states` survives the round
                 // trip exactly.
-                self.cache.try_visit(StateKey(*key), &sleep, e.depth, &rank);
+                self.cache.try_visit(
+                    StateKey(*key),
+                    &sleep,
+                    e.depth,
+                    &Rank::from_indices(&e.rank),
+                );
             }
         }
         if let Some(c) = &seed.candidate {
@@ -659,29 +679,22 @@ impl Engine<'_> {
                     )
                 });
             self.offer(Candidate {
-                rank: Arc::from(c.rank.as_slice()),
-                found: FoundViolation {
-                    violation: Violation {
-                        invariant,
-                        detail: c.detail.clone(),
-                    },
-                    schedule: c.schedule.clone(),
+                rank: Rank::from_indices(&c.rank),
+                violation: Violation {
+                    invariant,
+                    detail: c.detail.clone(),
                 },
             });
         }
         let mut st = self.work.lock().expect("work queue poisoned");
         for node in &seed.frontier {
-            let mut machine = Machine::with_model(system, model);
-            machine.set_crash_budget(self.config.max_crashes);
-            for d in &node.path {
-                machine.step(*d).unwrap_or_else(|e| {
-                    panic!(
-                        "resume: replaying the checkpointed schedule prefix \
-                         failed at {d:?}: {e:?} — the checkpoint does not \
-                         belong to this system"
-                    )
-                });
-            }
+            let (machine, _) = replay(
+                self.system,
+                self.model,
+                self.config.max_crashes,
+                node.rank.iter().copied(),
+            )
+            .expect("resume_from replayed every frontier rank");
             let mut sleep = SleepSet::empty();
             for &d in &node.sleep {
                 sleep.insert(d);
@@ -689,11 +702,23 @@ impl Engine<'_> {
             st.queue.push_back(Node {
                 machine,
                 sleep,
-                depth: node.path.len() as u32,
-                rank: Arc::from(node.rank.as_slice()),
-                path: node.path.clone(),
+                depth: node.rank.len() as u32,
+                rank: Rank::from_indices(&node.rank),
             });
         }
+    }
+
+    /// The schedule from the root to the node at `rank`, rebuilt by
+    /// replaying the rank from the initial state.
+    fn schedule(&self, rank: &Rank) -> Vec<Directive> {
+        replay(
+            self.system,
+            self.model,
+            self.config.max_crashes,
+            rank.indices(),
+        )
+        .expect("a rank the search reached replays")
+        .1
     }
 
     /// The frozen search as checkpoint data. Callable only while workers
@@ -703,9 +728,9 @@ impl Engine<'_> {
         let mut frontier: Vec<FrontierNode> = nodes
             .iter()
             .map(|n| FrontierNode {
-                rank: n.rank.to_vec(),
+                rank: n.rank.indices().collect(),
                 sleep: n.sleep.iter().collect(),
-                path: n.path.clone(),
+                path: self.schedule(&n.rank),
             })
             .collect();
         // Sort by rank so checkpoint bytes do not depend on which worker
@@ -717,10 +742,10 @@ impl Engine<'_> {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .as_ref()
             .map(|c| CandidateData {
-                rank: c.rank.to_vec(),
-                invariant: c.found.violation.invariant.to_owned(),
-                detail: c.found.violation.detail.clone(),
-                schedule: c.found.schedule.clone(),
+                rank: c.rank.indices().collect(),
+                invariant: c.violation.invariant.to_owned(),
+                detail: c.violation.detail.clone(),
+                schedule: self.schedule(&c.rank),
             });
         let retired = self
             .worker_stats
@@ -885,7 +910,7 @@ impl Engine<'_> {
             return true;
         }
         match &*self.best.lock().expect("best-candidate slot poisoned") {
-            Some(c) => rank.as_ref() < c.rank.as_ref(),
+            Some(c) => *rank < c.rank,
             None => true,
         }
     }
@@ -893,7 +918,7 @@ impl Engine<'_> {
     fn offer(&self, cand: Candidate) {
         let mut best = self.best.lock().expect("best-candidate slot poisoned");
         match &*best {
-            Some(c) if c.rank.as_ref() <= cand.rank.as_ref() => {}
+            Some(c) if c.rank <= cand.rank => {}
             _ => *best = Some(cand),
         }
         self.found_any.store(true, Ordering::Release);
@@ -953,21 +978,11 @@ impl Engine<'_> {
                 .step(d)
                 .unwrap_or_else(|e| panic!("explorer: enabled directive {d:?} failed: {e:?}"));
 
-            let child_rank: Rank = {
-                let mut r = Vec::with_capacity(node.rank.len() + 1);
-                r.extend_from_slice(&node.rank);
-                r.push(i as u32);
-                Arc::from(r)
-            };
-            if let Some(v) = self.invariants.iter().find_map(|inv| inv.check(&child)) {
-                let mut schedule = node.path.clone();
-                schedule.push(d);
+            let child_rank = node.rank.child(i as u32);
+            if let Some(violation) = self.invariants.iter().find_map(|inv| inv.check(&child)) {
                 self.offer(Candidate {
                     rank: child_rank,
-                    found: FoundViolation {
-                        violation: v,
-                        schedule,
-                    },
+                    violation,
                 });
                 // Later siblings and their subtrees all have greater
                 // ranks — none can improve on this candidate.
@@ -1005,15 +1020,11 @@ impl Engine<'_> {
                 ws.truncated_paths += 1;
                 continue;
             }
-            let mut path = Vec::with_capacity(node.path.len() + 1);
-            path.extend_from_slice(&node.path);
-            path.push(d);
             local.push(Node {
                 machine: child,
                 sleep: child_sleep,
                 depth: child_depth,
                 rank: child_rank,
-                path,
             });
         }
         // Reverse this node's children so the lexicographically least is

@@ -18,7 +18,7 @@ use tpa_algos::sim::bakery::BakeryLock;
 use tpa_check::invariant::{Invariant, Violation};
 use tpa_check::{Checker, Execution, Features, Report, StateKeys, Verdict};
 use tpa_tso::scripted::{Instr, ScriptSystem};
-use tpa_tso::{Machine, MemoryModel};
+use tpa_tso::{Directive, Machine, MemoryModel};
 
 /// A fresh scratch directory under the system temp dir, unique per test.
 fn scratch(tag: &str) -> PathBuf {
@@ -292,6 +292,66 @@ fn store_buffer() -> ScriptSystem {
             Instr::Halt,
         ]
     })
+}
+
+/// Fires once variable 258 holds anything but 0 in memory.
+struct Var258StaysZero;
+impl Invariant for Var258StaysZero {
+    fn name(&self) -> &'static str {
+        "var-258-stays-0"
+    }
+    fn check(&self, m: &Machine) -> Option<Violation> {
+        (m.value(tpa_tso::VarId(258)) != 0).then(|| Violation {
+            invariant: "var-258-stays-0",
+            detail: "process 258's write reached memory".into(),
+        })
+    }
+}
+
+/// A node with more than 255 enabled directives, so sibling indices
+/// take the rank's wide form. 260 processes each write their own
+/// variable once; the only violating schedules issue and commit process
+/// 258's write, and the least of them has rank [258, 258]. The witness
+/// must be the same at 1 and 2 threads and across a budget interrupt
+/// and resume.
+#[test]
+fn wide_ranks_keep_the_least_witness() {
+    let sys = ScriptSystem::new(260, 260, |pid| {
+        vec![
+            Instr::Write {
+                var: pid.0,
+                value: 1,
+            },
+            Instr::Halt,
+        ]
+    });
+    let p = tpa_tso::ProcId(258);
+    let least = vec![Directive::Issue(p), Directive::Commit(p)];
+    let make = |threads: usize| {
+        Checker::new(&sys)
+            .invariants(vec![Box::new(Var258StaysZero)])
+            .max_steps(2)
+            .threads(threads)
+    };
+    let found = |report: &Report| match &report.verdict {
+        Verdict::Violation { found, .. } => found.clone(),
+        other => panic!("expected a violation, got {other:?}"),
+    };
+    let control = make(1).exhaustive();
+    assert_eq!(found(&control), least, "1 thread");
+    assert_eq!(found(&make(2).exhaustive()), least, "2 threads");
+
+    let dir = scratch("wide");
+    let budget = interrupt_budget(&control);
+    let interrupted = |leg: usize| {
+        make([1, 2][leg % 2])
+            .max_transitions(budget)
+            .checkpoint_dir(&*dir)
+    };
+    let (resumed, legs) = drive(interrupted(0).exhaustive(), &interrupted);
+    assert!(legs >= 1, "chain completed without resuming");
+    assert_eq!(found(&resumed), least, "resumed");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A custom invariant battery travels through the fingerprint: the

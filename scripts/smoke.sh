@@ -45,7 +45,11 @@
 #      --checkpoint`), `check_file --resume` finishes it, and
 #      `tpa_runs diff` pairs the resumed run against the uninterrupted
 #      control — bit-equal verdict and state counts, with the
-#      interrupted run skipped as superseded
+#      interrupted run skipped as superseded; then a copy of the same
+#      scenario stopped by a 400-transition budget checkpoints a real
+#      frontier (nodes below the root, rebuilt on resume by replaying
+#      their ranks), which the committed file resumes to the baseline's
+#      778 states
 #  14. the benchmark's replay self-check: builds the `perf` package
 #      (examples/perf) against the current crates and runs `perf check`,
 #      which replays the n = 2 portfolio through the layers' public
@@ -196,7 +200,7 @@ tail -1 "$SCRATCH/diff-concurrent.txt"
 grep -q '^0 regressions' "$SCRATCH/diff-concurrent.txt" \
     || { echo "concurrent ledger diff found regressions"; cat "$SCRATCH/diff-concurrent.txt"; exit 1; }
 
-echo "== [13/15] checkpoint/resume durability (interrupt, resume, diff against control) =="
+echo "== [13/15] checkpoint/resume durability (interrupt, resume, diff against control, resume a budget frontier) =="
 CKPT="$SCRATCH/ckpt"
 CKPT_LEDGER="$SCRATCH/ledger-ckpt"
 # Uninterrupted control, ledgered.
@@ -229,6 +233,29 @@ cat "$SCRATCH/diff-ckpt.txt"
 grep -q 'skipped 1 interrupted run(s) superseded by a resume' "$SCRATCH/diff-ckpt.txt" \
     || { echo "interrupted run not skipped in diff pairing"; exit 1; }
 grep -q '^0 regressions' "$SCRATCH/diff-ckpt.txt" || { echo "resume diverged from control"; exit 1; }
+# A 0 ms deadline checkpoints only the root. A 400-transition budget
+# (a scratch copy: the committed file allows 4000000) stops mid-search
+# with a frontier of nodes below the root.
+sed 's/transitions 4000000/transitions 400/' scenarios/locks/filter.tpa > "$SCRATCH/filter-budget.tpa"
+grep -q 'transitions 400 ' "$SCRATCH/filter-budget.tpa" || { echo "budget edit did not apply"; exit 1; }
+if t cargo run --offline --release -p tpa-check --bin check_file -- \
+    --checkpoint-dir "$SCRATCH/ckpt-budget" "$SCRATCH/filter-budget.tpa" > "$SCRATCH/budget.txt"; then
+    echo "budget-interrupted run must exit non-zero"; exit 1
+fi
+cat "$SCRATCH/budget.txt"
+BUDGET_FILE="$(sed -n 's/.*checkpoint written: \(.*\) (resume with --resume)/\1/p' "$SCRATCH/budget.txt" | head -1)"
+test -s "$BUDGET_FILE" || { echo "no checkpoint written by the budget-interrupted run"; exit 1; }
+t cargo run --offline --release -p tpa-bench --bin obs_validate -- --checkpoint "$BUDGET_FILE" \
+    | tee "$SCRATCH/budget-ckpt.txt"
+grep -Eq 'cached states, ([2-9]|[1-9][0-9]+) frontier nodes' "$SCRATCH/budget-ckpt.txt" \
+    || { echo "budget checkpoint holds no frontier below the root"; exit 1; }
+# The committed file resumes it: same fingerprint, so the frontier is
+# replayed and the search completes at scenarios/BASELINE.json's count.
+t cargo run --offline --release -p tpa-check --bin check_file -- \
+    --resume "$BUDGET_FILE" scenarios/locks/filter.tpa > "$SCRATCH/budget-resumed.txt"
+cat "$SCRATCH/budget-resumed.txt"
+grep -q '\[resumed\] (778 states' "$SCRATCH/budget-resumed.txt" \
+    || { echo "budget checkpoint did not resume to 778 states"; exit 1; }
 
 echo "== [14/15] benchmark replay self-check (perf check) =="
 t cargo run --offline --release --manifest-path examples/perf/Cargo.toml -- check
