@@ -21,9 +21,11 @@
 //! partial search against a finished one. The classification:
 //!
 //! * **regressions** (non-zero exit): verdict flips, unique-state-count
-//!   drift between complete passing exhaustive runs, and witness-length
-//!   drift between violation runs — all deterministic at any thread
-//!   count, so any drift is a real behaviour change;
+//!   drift between complete exhaustive runs with the same verdict (pass,
+//!   or violation, whose count the sequential witness search takes; a
+//!   violating run resumed from a checkpoint is not judged on it), and
+//!   witness-length drift between violation runs — all deterministic at
+//!   any thread count, so any drift is a real behaviour change;
 //! * **warnings** (exit 0): throughput drops and cache-hit-rate drops,
 //!   which legitimately vary with load and hardware; runs shorter than
 //!   [`WALL_FLOOR_US`] are too noisy to rate and are not warned about;
@@ -36,7 +38,8 @@
 //! identity, and writes a machine-readable corpus report (`--out`). With
 //! `--baseline` the fresh report is compared against a committed one:
 //! missing scenarios, verdict changes, expectation mismatches and
-//! unique-state drift on complete passes are regressions.
+//! unique-state drift on complete passes and complete violations are
+//! regressions.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -253,12 +256,16 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
         regressions += 1;
     }
     let stat = |r: &RunRecord, k: &str| r.stats.get(k).copied();
-    // Unique-state counts are deterministic for complete passing
-    // exhaustive runs at any thread count; drift means the explored
-    // space itself changed.
+    // Unique-state counts are deterministic for complete exhaustive runs
+    // at any thread count, passing or violating; drift means the
+    // explored space itself changed. A resumed witness search may settle
+    // its witness in a different order, so a resumed violation's count
+    // is not pinned.
+    let resumed = !old.resumed_from.is_empty() || !new.resumed_from.is_empty();
     if old.mode == "exhaustive"
-        && old.verdict == "pass"
-        && new.verdict == "pass"
+        && settled(&old.verdict)
+        && old.verdict == new.verdict
+        && !(old.verdict == "violation" && resumed)
         && old.complete
         && new.complete
     {
@@ -313,6 +320,12 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
         println!("  ok");
     }
     regressions
+}
+
+/// Whether a complete exhaustive run with this verdict has a
+/// thread-count-invariant unique-state count.
+fn settled(verdict: &str) -> bool {
+    matches!(verdict, "pass" | "violation")
 }
 
 /// Every `.tpa` file under `dir`, recursively, sorted by path.
@@ -476,7 +489,8 @@ fn corpus(args: &[String]) -> Result<bool, String> {
 /// Compares a fresh corpus report against a committed baseline. Judged
 /// per clause: a scenario or clause present in the baseline but missing
 /// now, a verdict change, an expectation (`ok`) change, and
-/// unique-state drift on complete passing clauses are regressions.
+/// unique-state drift on complete passing or violating clauses are
+/// regressions.
 /// Scenarios new since the baseline are noted, not judged.
 fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
     let empty = BTreeMap::new();
@@ -527,7 +541,11 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
                 regressions += 1;
             }
             let complete = |v: &Json| v.get("complete").and_then(Json::as_bool) == Some(true);
-            if s(b, "verdict") == "pass" && complete(b) && complete(f) {
+            if settled(&s(b, "verdict"))
+                && s(b, "verdict") == s(f, "verdict")
+                && complete(b)
+                && complete(f)
+            {
                 let states = |v: &Json| v.get("unique_states").and_then(Json::as_u64);
                 if states(b) != states(f) {
                     println!(

@@ -1,21 +1,28 @@
 //! The visited-state cache: hash-sharded, sleep-set- and rank-aware.
 //!
 //! A state may be revisited along many schedules; a revisit can be
-//! skipped only if an earlier visit *subsumes* it. With one thread the
-//! classic condition is "an earlier visit had a subset sleep set"; with
-//! many threads "earlier" is no longer well-defined, so entries carry two
-//! extra tags that make subsumption independent of the order workers
-//! happen to reach states:
+//! skipped only if an earlier visit *subsumes* it. Entries carry three
+//! tags:
 //!
+//! * **sleep set** — a visit covers a revisit whose sleep set is a
+//!   superset of its own (at least as many directives were awake);
 //! * **depth** — a visit only covers the subtree reachable within the
 //!   remaining step budget, so a shallow visit subsumes a deeper revisit
 //!   but not vice versa;
-//! * **rank** — the path of sibling indices from the root. A visit may
-//!   only suppress revisits at lexicographically *greater-or-equal*
-//!   ranks. This is what makes the reported witness deterministic: the
-//!   lexicographically least violating path can never be suppressed by a
-//!   cache entry from a lexicographically later part of the tree, no
-//!   matter which worker got there first.
+//! * **rank** — the path of sibling indices from the root.
+//!
+//! Sleep set and depth are all a *verdict* needs: with them alone the
+//! cache is the classic sound combination of sleep sets and state
+//! caching (Godefroid), whatever order workers reach states in. A
+//! *ranked* cache adds the **rank test**: a visit may only suppress
+//! revisits at lexicographically greater-or-equal ranks. That makes a
+//! search report the lexicographically least violating path no matter
+//! which visit reached a state first, and it costs re-expansions: a state
+//! first reached from a later subtree is expanded again when an earlier
+//! subtree reaches it. Only the sequential witness search
+//! ([`crate::parallel`]) pays for it; the parallel verdict search builds
+//! its cache without it. Entries keep their rank either way, so a
+//! checkpoint image has one layout.
 //!
 //! A [`Rank`] is stored as a byte string whose byte order is the index
 //! path's lexicographic order, typically one byte per edge. The byte
@@ -103,13 +110,21 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    /// Whether this recorded visit already covers a visit at
-    /// `(sleep, depth, rank)`: it had at least as many directives awake,
-    /// at least as much remaining depth budget, and sits at a
-    /// lexicographically earlier-or-equal position.
-    fn subsumes(&self, sleep: &SleepSet, depth: u32, rank: &Rank) -> bool {
-        self.depth <= depth && self.rank <= *rank && self.sleep.is_subset(sleep)
+    fn tags(&self) -> (&SleepSet, u32, &Rank) {
+        (&self.sleep, self.depth, &self.rank)
     }
+}
+
+/// Whether a visit at `(sleep, depth, rank)` covers one at `(other_sleep,
+/// other_depth, other_rank)`: it had at least as many directives awake,
+/// at least as much remaining depth budget and, when `ranked`, sits at a
+/// lexicographically earlier-or-equal position.
+fn covers(
+    (sleep, depth, rank): (&SleepSet, u32, &Rank),
+    (other_sleep, other_depth, other_rank): (&SleepSet, u32, &Rank),
+    ranked: bool,
+) -> bool {
+    depth <= other_depth && (!ranked || rank <= other_rank) && sleep.is_subset(other_sleep)
 }
 
 /// The concurrent visited-state cache.
@@ -117,17 +132,21 @@ pub(crate) struct StateCache {
     shards: Vec<Mutex<HashMap<StateKey, Vec<CacheEntry>, FxBuildHasher>>>,
     /// `shards.len() - 1` (the shard count is a power of two).
     mask: usize,
+    /// Whether subsumption applies the rank test.
+    ranked: bool,
 }
 
 impl StateCache {
     /// A sharded cache with at least `shards` shards (rounded up to a
-    /// power of two). One shard is enough for sequential search;
-    /// parallel search wants several per worker.
-    pub fn new(shards: usize) -> Self {
+    /// power of two), applying the rank test when `ranked`. One shard is
+    /// enough for sequential search; parallel search wants several per
+    /// worker.
+    pub fn new(shards: usize, ranked: bool) -> Self {
         let n = shards.max(1).next_power_of_two();
         StateCache {
             shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
             mask: n - 1,
+            ranked,
         }
     }
 
@@ -146,12 +165,13 @@ impl StateCache {
             .lock()
             .expect("state-cache shard poisoned");
         let entries = shard.entry(key).or_default();
-        if entries.iter().any(|e| e.subsumes(sleep, depth, rank)) {
+        let visit = (sleep, depth, rank);
+        if entries.iter().any(|e| covers(e.tags(), visit, self.ranked)) {
             return None;
         }
         // Drop entries the new visit subsumes, so per-key lists stay short.
         let before = entries.len();
-        entries.retain(|e| !(depth <= e.depth && *rank <= e.rank && sleep.is_subset(&e.sleep)));
+        entries.retain(|e| !covers(visit, e.tags(), self.ranked));
         let evicted = (before - entries.len()) as u64;
         entries.reserve_exact(1);
         entries.push(CacheEntry {
@@ -163,11 +183,12 @@ impl StateCache {
     }
 
     /// Every live entry, grouped by state key and sorted by key — the
-    /// checkpoint image of the cache. Rebuilding a cache by
-    /// `try_visit`ing each exported entry reproduces both the entry set
-    /// and `unique_states` exactly: live entries are pairwise
-    /// non-subsuming (`try_visit` rejects subsumed inserts and evicts
-    /// subsumed residents), so every import is accepted, in any order.
+    /// checkpoint image of the cache. Rebuilding a cache with the same
+    /// rank setting by `try_visit`ing each exported entry reproduces both
+    /// the entry set and `unique_states` exactly: live entries are
+    /// pairwise non-subsuming (`try_visit` rejects subsumed inserts and
+    /// evicts subsumed residents), so every import is accepted, in any
+    /// order.
     pub fn export(&self) -> Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)> {
         let data = |entries: &[CacheEntry]| {
             entries
@@ -216,14 +237,14 @@ mod tests {
 
     #[test]
     fn first_visit_always_expands() {
-        let c = StateCache::new(1);
+        let c = StateCache::new(1, true);
         assert_eq!(visit(&c, 7, &[], 0, &[]), Some(0));
         assert_eq!(c.unique_states(), 1);
     }
 
     #[test]
     fn subset_sleep_at_earlier_rank_subsumes() {
-        let c = StateCache::new(1);
+        let c = StateCache::new(1, true);
         assert_eq!(visit(&c, 7, &[1], 2, &[0, 1]), Some(0));
         // More asleep, deeper, later: covered.
         assert_eq!(visit(&c, 7, &[1, 2], 3, &[0, 2]), None);
@@ -233,7 +254,7 @@ mod tests {
 
     #[test]
     fn later_rank_entry_cannot_suppress_an_earlier_visit() {
-        let c = StateCache::new(1);
+        let c = StateCache::new(1, true);
         assert_eq!(visit(&c, 9, &[], 2, &[1, 0]), Some(0));
         // Same state reached on a lexicographically earlier path — the
         // deterministic-witness guarantee requires re-expansion.
@@ -244,8 +265,21 @@ mod tests {
     }
 
     #[test]
+    fn without_the_rank_test_any_earlier_visit_subsumes() {
+        let c = StateCache::new(1, false);
+        assert_eq!(visit(&c, 9, &[], 2, &[1, 0]), Some(0));
+        // An earlier rank no longer forces re-expansion…
+        assert_eq!(visit(&c, 9, &[1], 2, &[0, 5]), None);
+        // …but fewer sleepers or a shallower depth still do, and the
+        // stronger visit evicts the recorded one whatever its rank.
+        assert!(visit(&c, 9, &[], 1, &[2]).is_some());
+        assert_eq!(visit(&c, 9, &[], 0, &[3]), Some(1));
+        assert_eq!(c.unique_states(), 1);
+    }
+
+    #[test]
     fn subsumption_evictions_are_counted() {
-        let c = StateCache::new(1);
+        let c = StateCache::new(1, true);
         assert_eq!(visit(&c, 7, &[1, 2], 4, &[2]), Some(0));
         // A strictly stronger visit (fewer asleep, shallower, earlier)
         // evicts the recorded one.
@@ -308,7 +342,7 @@ mod tests {
 
     #[test]
     fn shallower_revisit_is_not_skipped() {
-        let c = StateCache::new(1);
+        let c = StateCache::new(1, true);
         assert_eq!(visit(&c, 3, &[], 5, &[0]), Some(0));
         // Same state, same sleep, but more remaining budget: expand.
         assert!(visit(&c, 3, &[], 1, &[4]).is_some());

@@ -487,7 +487,10 @@ impl<'a> Checker<'a> {
     }
 
     /// Worker threads for the search (both modes). Any count produces the
-    /// same verdict and witness; see [`crate::parallel`]. Use
+    /// same verdict, witness and unique-state count. An exhaustive search
+    /// on more than one thread decides the verdict without the cache's
+    /// rank test and, only when it finds a violation, runs the sequential
+    /// witness search after it; see [`crate::parallel`]. Use
     /// [`crate::parallel::default_threads`] for "all the machine has".
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -558,7 +561,10 @@ impl<'a> Checker<'a> {
     /// decide when to stop (threads, deadline, transition budget, ledger,
     /// periodic checkpointing) stay the caller's choice, and the
     /// invariant battery must already be configured (it is part of the
-    /// fingerprint). Do not change the imposed knobs afterwards:
+    /// fingerprint). A checkpoint of the witness search
+    /// ([`crate::SearchPhase::Witness`]) resumes on one thread whatever
+    /// [`Checker::threads`] says; one of the verdict search resumes on
+    /// the configured threads. Do not change the imposed knobs afterwards:
     /// [`Checker::exhaustive`] re-verifies the fingerprint and panics on
     /// a mismatch rather than run an unsound search.
     ///
@@ -755,6 +761,7 @@ impl<'a> Checker<'a> {
                 );
             }
             ResumeSeed {
+                phase: ckpt.phase,
                 counters: ckpt.counters,
                 candidate: ckpt.candidate,
                 frontier: ckpt.frontier,
@@ -772,6 +779,7 @@ impl<'a> Checker<'a> {
             let ckpt = Checkpoint {
                 id: checkpoint::fresh_id(),
                 fingerprint: emit_fp.clone(),
+                phase: snap.phase,
                 counters: snap.counters,
                 candidate: snap.candidate,
                 frontier: snap.frontier,

@@ -1,16 +1,20 @@
 //! Durable, resumable search snapshots.
 //!
-//! A checkpoint freezes an exhaustive search mid-flight: the explicit
-//! frontier (each node's rank, sleep set and schedule prefix — machines
-//! are rebuilt on resume by replaying the rank, which must reproduce the
-//! stored prefix), the sharded visited-state cache
-//! with its rank tags, the effort counters, the best violation candidate
-//! found so far, and a [`Fingerprint`] of everything that determines the
-//! shape of the state space. Restoring all five reproduces the search's
-//! exact position: resuming an interrupted run yields the same verdict,
-//! the same lexicographically least witness and the same unique/canonical
-//! state counts as the run that was never interrupted (pinned by the
-//! `checkpoint_resume` differential suite).
+//! A checkpoint freezes an exhaustive search mid-flight: which of its
+//! two searches was running ([`SearchPhase`]), the explicit frontier
+//! (each node's rank, sleep set and schedule prefix — machines are
+//! rebuilt on resume by replaying the rank, which must reproduce the
+//! stored prefix), the sharded visited-state cache with its rank tags,
+//! the effort counters, the best violation candidate found so far, and a
+//! fingerprint of everything that determines the shape of the state
+//! space. Restoring all six reproduces the search's exact position:
+//! resuming an interrupted run yields the same verdict, the same
+//! lexicographically least witness and the same unique/canonical state
+//! counts as the run that was never interrupted (pinned by the
+//! `checkpoint_resume` differential suite). A verdict-phase checkpoint
+//! resumes as a verdict search at any thread count; a witness-phase one
+//! resumes as the sequential witness search. Cache entries keep their
+//! real ranks in both, so one entry layout serves both phases.
 //!
 //! The wire format follows the bytecode codec's discipline
 //! ([`tpa_tso::bytecode`]): a magic/version header, explicit
@@ -39,13 +43,15 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use tpa_tso::{Directive, MemoryModel, ProcId, System, VarId};
 
 use crate::explore::replay;
+use crate::parallel::SearchPhase;
 
 /// File magic: `TPACKPT` plus a format generation digit.
 const MAGIC: &[u8; 8] = b"TPACKPT1";
 
 /// Wire-format version; bump on breaking layout changes so old files
-/// fail with "unsupported version", not garbage.
-const VERSION: u32 = 1;
+/// fail with "unsupported version", not garbage. Version 2 added the
+/// phase byte.
+const VERSION: u32 = 2;
 
 /// Header size: magic (8) + version (4) + payload length (8) +
 /// payload checksum (8).
@@ -86,6 +92,8 @@ pub enum Section {
     Id,
     /// The search fingerprint.
     Fingerprint,
+    /// The search phase byte.
+    Phase,
     /// The effort counters.
     Counters,
     /// The best violation candidate.
@@ -104,6 +112,7 @@ impl fmt::Display for Section {
             Section::Header => write!(f, "header"),
             Section::Id => write!(f, "checkpoint id"),
             Section::Fingerprint => write!(f, "fingerprint"),
+            Section::Phase => write!(f, "search phase"),
             Section::Counters => write!(f, "counters"),
             Section::Candidate => write!(f, "candidate"),
             Section::Frontier => write!(f, "frontier"),
@@ -331,6 +340,7 @@ pub struct Checkpoint {
     /// `checkpoint` / `resumed_from` lineage fields speak these ids.
     pub(crate) id: String,
     pub(crate) fingerprint: Fingerprint,
+    pub(crate) phase: SearchPhase,
     pub(crate) counters: Counters,
     pub(crate) candidate: Option<CandidateData>,
     pub(crate) frontier: Vec<FrontierNode>,
@@ -351,6 +361,11 @@ impl Checkpoint {
     /// Memory model the search ran under.
     pub fn model(&self) -> MemoryModel {
         self.fingerprint.model
+    }
+
+    /// Which search was interrupted, and so which one a resume continues.
+    pub fn phase(&self) -> SearchPhase {
+        self.phase
     }
 
     /// Frontier nodes awaiting expansion. Zero means the search had
@@ -436,6 +451,7 @@ impl Checkpoint {
              features: execution={exec} keys={keys} vm={vm} symmetry={sym}\n  \
              bounds: max_steps={steps} max_crashes={crashes}\n  \
              battery: {battery}\n  \
+             phase: {phase}\n  \
              progress: {tr} transitions, {states} cached states, \
              {front} frontier nodes, candidate: {cand}",
             id = self.id,
@@ -457,6 +473,10 @@ impl Checkpoint {
             steps = f.max_steps,
             crashes = f.max_crashes,
             battery = f.invariants.join(", "),
+            phase = match self.phase {
+                SearchPhase::Verdict => "verdict (resumes at any thread count)",
+                SearchPhase::Witness => "witness (resumes on one thread)",
+            },
             tr = self.counters.transitions,
             states = self.cache.len(),
             front = self.frontier.len(),
@@ -490,6 +510,10 @@ impl Checkpoint {
         for name in &f.invariants {
             enc_str(&mut p, name);
         }
+        p.push(match self.phase {
+            SearchPhase::Verdict => 0,
+            SearchPhase::Witness => 1,
+        });
         enc_u64(&mut p, self.counters.transitions);
         enc_u64(&mut p, self.counters.pruned_sleep);
         enc_u64(&mut p, self.counters.cache_skips);
@@ -612,6 +636,12 @@ impl Checkpoint {
         for _ in 0..inv_count {
             invariants.push(r.str()?);
         }
+        r.section = Section::Phase;
+        let phase = match r.u8()? {
+            0 => SearchPhase::Verdict,
+            1 => SearchPhase::Witness,
+            t => return Err(r.fail_at(r.at - 1, format!("bad search-phase tag {t}"))),
+        };
         r.section = Section::Counters;
         let counters = Counters {
             transitions: r.u64()?,
@@ -703,6 +733,7 @@ impl Checkpoint {
                 code_hash,
                 invariants,
             },
+            phase,
             counters,
             candidate,
             frontier,
@@ -1002,6 +1033,7 @@ mod tests {
                 code_hash: 0x1234,
                 invariants: vec!["mutual-exclusion".into(), "terminal-quiescence".into()],
             },
+            phase: SearchPhase::Witness,
             counters: Counters {
                 transitions: 1000,
                 pruned_sleep: 10,
@@ -1091,6 +1123,57 @@ mod tests {
 
         let err = Checkpoint::decode(&bytes[..bytes.len() - 5]).unwrap_err();
         assert!(err.to_string().contains("short or torn write"), "{err}");
+    }
+
+    /// A version-1 file (no phase byte) is refused with a diagnostic
+    /// naming its version, whether or not its length and checksum are
+    /// intact.
+    #[test]
+    fn version_1_files_are_refused_by_name() {
+        let v2 = sample().encode();
+        // The same image as version 1 wrote it: the payload without the
+        // phase byte (the only payload byte the phase changes),
+        // re-lengthed and re-checksummed.
+        let other = Checkpoint {
+            phase: SearchPhase::Verdict,
+            ..sample()
+        }
+        .encode();
+        let phase_at = (HEADER_LEN..v2.len())
+            .find(|&i| v2[i] != other[i])
+            .expect("the phase byte differs");
+        let mut payload = v2[HEADER_LEN..].to_vec();
+        payload.remove(phase_at - HEADER_LEN);
+        let mut v1 = MAGIC.to_vec();
+        enc_u32(&mut v1, 1);
+        enc_u64(&mut v1, payload.len() as u64);
+        enc_u64(&mut v1, fnv1a(&payload));
+        v1.extend_from_slice(&payload);
+        match Checkpoint::decode(&v1) {
+            Err(CheckpointError::Corrupt {
+                offset: 8,
+                section: Section::Header,
+                detail,
+            }) => assert!(
+                detail.contains("unsupported checkpoint version 1")
+                    && detail.contains("this build reads 2"),
+                "{detail}"
+            ),
+            other => panic!("a version-1 file was not refused by version: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn phase_round_trips_and_is_described() {
+        for (phase, name) in [
+            (SearchPhase::Verdict, "phase: verdict"),
+            (SearchPhase::Witness, "phase: witness"),
+        ] {
+            let ckpt = Checkpoint { phase, ..sample() };
+            let back = Checkpoint::decode(&ckpt.encode()).expect("round trip");
+            assert_eq!(back.phase(), phase);
+            assert!(back.describe().contains(name), "{}", back.describe());
+        }
     }
 
     #[test]

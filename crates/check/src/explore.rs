@@ -2,8 +2,9 @@
 //!
 //! The search enumerates every schedule of a [`System`] up to a step
 //! bound by depth-first search over [`Machine::fork_for_search`]
-//! snapshots, checking a battery of [`Invariant`]s after every step. Two
-//! reductions keep the search tractable without losing violations:
+//! snapshots, checking a battery of [`Invariant`](crate::Invariant)s
+//! after every step. Two reductions keep the search tractable without
+//! losing violations:
 //!
 //! * **Sleep sets** (Godefroid): after exploring directive `d` from a
 //!   state, sibling subtrees need not re-explore interleavings that merely
@@ -13,9 +14,11 @@
 //!   footprints are disjoint commute.
 //! * **State cache**: states are keyed by [`Machine::state_hash`]. A
 //!   state revisited with a sleep set *no smaller* than a previously
-//!   explored one — at no less depth and no earlier rank — is skipped;
-//!   see [`crate::cache`] for why all three tags are needed once workers
-//!   run concurrently.
+//!   explored one, at no less depth, is skipped. The sequential witness
+//!   search also requires the earlier visit to sit at an earlier-or-equal
+//!   rank (position in schedule order), which is what makes it report the
+//!   lexicographically least witness; the parallel verdict search does
+//!   without that test.
 //!
 //! Both reductions are sound for state predicates: every reachable state
 //! within the bound is reached by at least one explored schedule. The

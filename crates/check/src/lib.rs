@@ -60,7 +60,7 @@ pub use checker::{Checker, Execution, Features, Scenario, ScenarioError, StateKe
 pub use checkpoint::{Checkpoint, CheckpointError, FailpointWriter, Section, WriteFault};
 pub use explore::{enabled_all, ExploreConfig, FoundViolation, IncompleteReason};
 pub use invariant::{crash_invariants, standard_invariants, Invariant, Violation};
-pub use parallel::{default_threads, WorkerStats};
+pub use parallel::{default_threads, SearchPhase, WorkerStats};
 pub use scenario::{
     battery, run_checks, run_checks_opts, ClauseOutcome, ForbiddenState, RunOptions,
 };

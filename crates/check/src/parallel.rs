@@ -1,35 +1,47 @@
 //! The work-distributing exploration engine.
 //!
-//! One engine serves both sequential and parallel search: an explicit
-//! frontier of [`Node`]s (machine fork + sleep set + position), expanded
-//! depth-first by each worker over a private stack, with a shared queue
-//! for distributing subtrees across `std::thread` workers. The pieces
-//! that make this *deterministic* — parallel and sequential runs report
-//! the identical witness schedule — are:
+//! An exhaustive search is an explicit frontier of nodes (machine fork +
+//! sleep set + position), expanded depth-first by each worker over a
+//! private stack, with a shared queue for distributing subtrees across
+//! `std::thread` workers. It runs in up to two phases
+//! ([`SearchPhase`]):
 //!
-//! * every node carries its **rank** (the path of sibling indices from
-//!   the root, as a compact byte string); ranks order nodes exactly as a
-//!   sequential DFS would visit them;
-//! * the [`StateCache`](crate::cache) only lets a recorded visit
-//!   suppress revisits at greater-or-equal ranks, so the
-//!   lexicographically least path to any reachable state is explored no
-//!   matter how workers interleave;
-//! * violations are not returned at first sight: each is **offered** to
-//!   a shared best-candidate slot keyed by rank, and exploration
-//!   continues — but any subtree whose rank is already ≥ the best
-//!   candidate is pruned, which is the cooperative-cancellation
-//!   mechanism. When the frontier drains, the best candidate is the
-//!   lexicographically least violating schedule, the same one a
-//!   sequential first-violation DFS reports.
+//! * the **verdict search** decides whether any violation exists. Its
+//!   state cache tests sleep sets and depth only — the classic sound
+//!   combination of sleep sets and state caching for safety properties
+//!   (Godefroid, LNCS 1032) — so no worker re-expands a state just
+//!   because another reached it first from a later subtree, and every
+//!   worker stops at the first violation. A search on more than one
+//!   thread starts here, and a passing search ends here;
+//! * the **witness search** names the violating schedule to report. It
+//!   is the sequential search: one worker, and a cache with the rank
+//!   test, which lets a recorded visit suppress only revisits at
+//!   lexicographically greater-or-equal ranks. Violations are not
+//!   returned at first sight: each is **offered** to a best-candidate
+//!   slot keyed by rank, and exploration continues, but any subtree whose
+//!   rank is already ≥ the best candidate is pruned. When the frontier
+//!   drains, the best candidate is the least witness the rank test
+//!   admits. A one-thread search is a witness search from the start; a
+//!   multi-thread search runs one only after its verdict search found a
+//!   violation, from the root with a fresh cache and what is left of the
+//!   transition budget and the deadline.
+//!
+//! So every thread count reports the same verdict, the same witness and
+//! the same `unique_states`: a pass's state count is the set of states
+//! within the step bound, whatever order workers reach them in, and a
+//! violation's comes from the sequential witness search. Every node
+//! carries its **rank** (the path of sibling indices from the root, as a
+//! compact byte string); ranks order nodes exactly as a sequential DFS
+//! visits them.
 //!
 //! Workers donate the bottom half of their private stack (their
 //! lexicographically *latest* work) to the shared queue whenever it runs
 //! empty, so load balance never depends on the initial subtree split.
 //!
 //! Nodes and candidates carry no schedule. A rank names its path
-//! completely, so `Engine::schedule` rebuilds the directives by
-//! replaying the rank from the initial state, only for the two places
-//! that need them: the reported witness and a checkpoint's frontier.
+//! completely, so the engine rebuilds the directives by replaying the
+//! rank from the initial state, only for the two places that need them:
+//! the reported witness and a checkpoint's frontier.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -62,10 +74,26 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Which of an exhaustive search's two searches is running; see the
+/// [module docs](crate::parallel). A checkpoint records it, so a resumed
+/// search continues in the phase it was interrupted in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SearchPhase {
+    /// The search that decides the verdict: no rank test, and every
+    /// worker stops at the first violation. A resumed verdict search
+    /// runs at the resuming checker's thread count.
+    Verdict,
+    /// The sequential search that names the least witness, with the
+    /// cache's rank test. A resumed witness search runs on one thread.
+    Witness,
+}
+
 /// The frozen image of a mid-flight search, handed to the checkpoint
-/// emitter: cumulative counters (resume base included), the best
-/// violation candidate, the explicit frontier and the full state cache.
+/// emitter: the phase, cumulative counters (resume base included), the
+/// best violation candidate, the explicit frontier and the full state
+/// cache.
 pub(crate) struct SnapshotData {
+    pub phase: SearchPhase,
     pub counters: Counters,
     pub candidate: Option<CandidateData>,
     pub frontier: Vec<FrontierNode>,
@@ -86,18 +114,18 @@ pub(crate) struct CheckpointHooks<'a> {
     pub emit: &'a dyn Fn(SnapshotData) -> Option<(String, PathBuf)>,
 }
 
-/// A decoded checkpoint readied for [`run_exhaustive`]: base counters to
-/// fold into reported stats, the candidate and frontier to seed, and the
-/// cache image to import.
+/// A decoded checkpoint readied for [`run_exhaustive`]: the phase to
+/// continue, base counters to fold into reported stats, the candidate
+/// and frontier to seed, and the cache image to import.
 pub(crate) struct ResumeSeed {
+    pub phase: SearchPhase,
     pub counters: Counters,
     pub candidate: Option<CandidateData>,
     pub frontier: Vec<FrontierNode>,
     pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
 }
 
-/// A run's cumulative counters: the resume `base` plus every retired
-/// worker's.
+/// A run's cumulative counters: the resume `base` plus every worker's.
 fn cumulative(base: &Counters, workers: &[WorkerStats]) -> Counters {
     let sum = total(workers);
     Counters {
@@ -112,10 +140,11 @@ fn cumulative(base: &Counters, workers: &[WorkerStats]) -> Counters {
 pub(crate) struct ExhaustiveOutcome {
     /// The lexicographically least violation, if any.
     pub found: Option<FoundViolation>,
-    /// Aggregate search counters (resume base included).
+    /// Aggregate search counters over both phases (resume base
+    /// included); `unique_states` and completeness are the last phase's.
     pub stats: EffortStats,
-    /// Per-worker counters, merged across checkpoint legs by worker
-    /// index.
+    /// Per-worker counters, one entry per worker index, each counting
+    /// across checkpoint legs and phases.
     pub workers: Vec<WorkerStats>,
     /// The last checkpoint the emitter reported writing, if any.
     pub checkpoint: Option<(String, PathBuf)>,
@@ -144,7 +173,8 @@ struct WorkQueue {
     active: usize,
 }
 
-/// Per-worker search counters, cumulative over the worker's lifetime.
+/// Per-worker search counters, cumulative over the run: a worker index
+/// keeps counting across checkpoint legs and into the witness search.
 ///
 /// These are the only place search effort is counted. Everything else
 /// is derived from them: [`crate::Report::stats`] and the checkpoint
@@ -199,6 +229,7 @@ pub(crate) enum Search {
 
 /// Where workers report their counters: the probe (a [`WorkerSnapshot`])
 /// and the metrics registry, written together at the same points.
+#[derive(Clone, Copy)]
 pub(crate) struct Telemetry<'a> {
     pub probe: Option<&'a dyn Probe>,
     pub metrics: Option<&'a Metrics>,
@@ -235,7 +266,7 @@ pub(crate) fn total(workers: &[WorkerStats]) -> WorkerStats {
 
 impl WorkerStats {
     /// Adds `other`'s counters to these; high-water marks take the
-    /// maximum. Merges one worker's legs and sums a run's workers.
+    /// maximum.
     fn add(&mut self, other: &WorkerStats) {
         self.nodes_expanded += other.nodes_expanded;
         self.transitions += other.transitions;
@@ -308,10 +339,14 @@ struct Engine<'a> {
     system: &'a dyn System,
     model: MemoryModel,
     invariants: &'a [Box<dyn Invariant>],
+    /// This phase's bounds: a witness search that follows a verdict
+    /// search gets what is left of the transition budget.
     config: &'a ExploreConfig,
+    phase: SearchPhase,
     threads: usize,
+    /// Ranked exactly in the witness phase.
     cache: StateCache,
-    /// Transition claims across the whole run — the budget clock. A
+    /// Transition claims across this phase — the budget clock. A
     /// refused claim is counted too, so this is not the number of
     /// transitions executed (that is the workers' sum) and is never
     /// reported.
@@ -321,8 +356,8 @@ struct Engine<'a> {
     aborted: AtomicBool,
     /// The first abort condition observed; later ones are ignored.
     abort_reason: Mutex<Option<IncompleteReason>>,
-    /// Nodes expanded across the whole run — the periodic-checkpoint
-    /// clock (the trip point must be global). Never reported.
+    /// Nodes expanded across this phase — the periodic-checkpoint clock
+    /// (the trip point must be global). Never reported.
     checkpoint_clock: AtomicU64,
     /// The `checkpoint_clock` value whose expansion requests a pause
     /// (`u64::MAX`: periodic checkpoints disabled). Only rewritten
@@ -340,14 +375,18 @@ struct Engine<'a> {
     /// loop once the thread scope joins.
     suspended: Mutex<Vec<Node>>,
     /// Fast path for the best-candidate check (avoids the mutex while no
-    /// violation has been found, i.e. almost always).
+    /// violation has been found, i.e. almost always). In the verdict
+    /// phase it is also the stop signal.
     found_any: AtomicBool,
     best: Mutex<Option<Candidate>>,
     work: Mutex<WorkQueue>,
     available: Condvar,
     /// Dense worker-index allocator (workers self-assign on start).
     next_worker: AtomicUsize,
-    /// Final per-worker counters, collected as workers retire.
+    /// Each worker index's counters so far, one entry per index: a
+    /// worker starts from its index's entry and writes it back when it
+    /// retires. Seeded with the verdict phase's entries in a witness
+    /// search that follows one.
     worker_stats: Mutex<Vec<WorkerStats>>,
     /// Where workers report their counters, periodically and on
     /// retirement.
@@ -390,11 +429,13 @@ fn cache_coords(
 /// across `threads` workers, returning the lexicographically least
 /// violation found (if any) and the search counters.
 ///
-/// `threads == 1` runs entirely on the calling thread. Any thread count
-/// yields the same verdict, the same witness schedule, and (on complete
-/// passing runs) the same `unique_states`; `transitions` and the pruning
-/// counters may differ, since workers race to states that then need no
-/// re-expansion.
+/// `threads == 1` runs the witness search alone, on the calling thread.
+/// More threads run the verdict search and, only if it finds a
+/// violation, the witness search after it (see the
+/// [module docs](crate::parallel)). Any thread count yields the same
+/// verdict, the same witness schedule and the same `unique_states`;
+/// `transitions` and the pruning counters may differ, since workers race
+/// to states that then need no re-expansion.
 ///
 /// `probe` (if any) receives periodic and final [`WorkerSnapshot`]s, and
 /// `metrics` (if any) gets each worker's counters at the same points;
@@ -403,8 +444,9 @@ fn cache_coords(
 /// [`WorkerStats`] are each worker's final counters, in worker order.
 ///
 /// `resume` seeds the search from a decoded checkpoint instead of the
-/// root: the cache image is re-imported, the candidate re-offered, and
-/// the frontier machines rebuilt by replaying their ranks.
+/// root, in the checkpoint's phase: the cache image is re-imported, the
+/// candidate re-offered, and the frontier machines rebuilt by replaying
+/// their ranks. A witness-phase checkpoint resumes on one thread.
 /// `checkpoints` arms snapshotting: periodically every
 /// `hooks.every` node expansions, and unconditionally when an abort
 /// (deadline, budget, worker panic) fires. Both together make
@@ -427,37 +469,64 @@ pub(crate) fn run_exhaustive(
     checkpoints: Option<&CheckpointHooks>,
 ) -> ExhaustiveOutcome {
     let threads = threads.max(1);
-    let mut root = Machine::with_model(system, model);
-    root.set_crash_budget(config.max_crashes);
-    if resume.is_none() {
-        // The initial state itself may violate (e.g. an empty program that
-        // is terminal but not quiescent). A resumed search already passed
-        // these root checks in its first leg.
-        let found = invariants.iter().find_map(|inv| inv.check(&root));
-        if found.is_some() || config.max_steps == 0 {
-            return ExhaustiveOutcome {
-                found: found.map(|violation| FoundViolation {
-                    violation,
-                    schedule: Vec::new(),
-                }),
-                stats: EffortStats {
-                    unique_states: 1,
-                    complete: true,
-                    ..EffortStats::default()
-                },
-                workers: Vec::new(),
-                checkpoint: None,
+    let root = || {
+        let mut root = Machine::with_model(system, model);
+        root.set_crash_budget(config.max_crashes);
+        root
+    };
+    // Base counters from the checkpointed leg(s); folded into reported
+    // stats but *not* into the budget clock, so `max_transitions` keeps
+    // budgeting each leg rather than instantly re-aborting a resume.
+    let (phase, base, start) = match resume {
+        Some(seed) => (seed.phase, seed.counters.clone(), Start::Resume(seed)),
+        None => {
+            // The initial state itself may violate (e.g. an empty program
+            // that is terminal but not quiescent). A resumed search
+            // already passed these root checks in its first leg.
+            let root = root();
+            let found = invariants.iter().find_map(|inv| inv.check(&root));
+            if found.is_some() || config.max_steps == 0 {
+                return ExhaustiveOutcome {
+                    found: found.map(|violation| FoundViolation {
+                        violation,
+                        schedule: Vec::new(),
+                    }),
+                    stats: EffortStats {
+                        unique_states: 1,
+                        complete: true,
+                        ..EffortStats::default()
+                    },
+                    workers: Vec::new(),
+                    checkpoint: None,
+                };
+            }
+            let phase = if threads == 1 {
+                SearchPhase::Witness
+            } else {
+                SearchPhase::Verdict
             };
+            (phase, Counters::default(), Start::Root(root))
         }
-    }
+    };
 
-    let engine = Engine {
+    let telemetry = Telemetry {
+        probe,
+        metrics,
+        search: Search::Exhaustive {
+            symmetry: symmetry.is_some(),
+        },
+    };
+    let engine = |phase, config, threads, workers| Engine {
         system,
         model,
         invariants,
         config,
+        phase,
         threads,
-        cache: StateCache::new(if threads == 1 { 1 } else { threads * 8 }),
+        cache: StateCache::new(
+            if threads == 1 { 1 } else { threads * 8 },
+            phase == SearchPhase::Witness,
+        ),
         budget_clock: AtomicU64::new(0),
         aborted: AtomicBool::new(false),
         abort_reason: Mutex::new(None),
@@ -479,161 +548,209 @@ pub(crate) fn run_exhaustive(
         }),
         available: Condvar::new(),
         next_worker: AtomicUsize::new(0),
-        worker_stats: Mutex::new(Vec::with_capacity(threads)),
-        telemetry: Telemetry {
-            probe,
-            metrics,
-            search: Search::Exhaustive {
-                symmetry: symmetry.is_some(),
-            },
-        },
+        worker_stats: Mutex::new(workers),
+        telemetry,
         symmetry,
     };
 
-    // Base counters from the checkpointed leg(s); folded into reported
-    // stats but *not* into the budget clock, so `max_transitions` keeps
-    // budgeting each leg rather than instantly re-aborting a resume.
-    let base = resume
-        .as_ref()
-        .map(|s| s.counters.clone())
-        .unwrap_or_default();
-
-    match resume {
-        None => {
-            let root_rank = Rank::from_indices(&[]);
-            let (root_key, _) = cache_coords(&root, &SleepSet::empty(), symmetry);
-            engine
-                .cache
-                .try_visit(root_key, &SleepSet::empty(), 0, &root_rank);
-            engine
-                .work
-                .lock()
-                .expect("work queue poisoned")
-                .queue
-                .push_back(Node {
-                    machine: root,
-                    sleep: SleepSet::empty(),
-                    depth: 0,
-                    rank: root_rank,
-                });
-        }
-        Some(seed) => engine.seed_resume(seed),
+    if phase == SearchPhase::Witness {
+        return engine(phase, config, 1, Vec::new())
+            .run(start, &base, checkpoints)
+            .outcome(&base);
     }
-
-    // The run loop: each iteration is one "leg" — spawn workers, let them
-    // run until the frontier drains, an abort fires, or a periodic pause
-    // trips, then join. With workers joined the search is trivially
-    // quiescent: the frontier is exactly `suspended` + the shared queue,
-    // which is what makes the snapshot sound without any in-band
-    // synchronisation barrier.
-    let mut emitted: Option<(String, PathBuf)> = None;
-    let mut provisional = false;
-    loop {
-        if threads == 1 {
-            engine.worker_caught();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| engine.worker_caught());
-                }
-            });
-        }
-        let paused = engine.pause.load(Ordering::Relaxed);
-        let aborted = engine.aborted.load(Ordering::Relaxed);
-        if !paused && !aborted {
-            break; // frontier drained: the search is complete
-        }
-        let Some(hooks) = checkpoints else {
-            break; // aborted, checkpointing off: report incomplete as ever
-        };
-        let mut nodes = {
-            let mut suspended = engine
-                .suspended
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            std::mem::take(&mut *suspended)
-        };
-        {
-            let mut st = engine.work.lock().expect("work queue poisoned");
-            nodes.extend(st.queue.drain(..));
-        }
-        let written = (hooks.emit)(engine.snapshot(&base, &nodes));
-        // With several workers, one may find a violation while another
-        // still holds a lexicographically smaller subtree. Such a
-        // candidate is not yet the least witness: it stays in the
-        // checkpoint for the resumed search to settle, and this leg
-        // reports incomplete.
-        provisional =
-            aborted && written.is_some() && nodes.iter().any(|n| engine.still_viable(&n.rank));
-        emitted = written.or(emitted);
-        if aborted {
-            break;
-        }
-        // Periodic pause: thaw and run the next leg on the same engine.
-        {
-            let mut st = engine.work.lock().expect("work queue poisoned");
-            st.queue.extend(nodes);
-            st.active = threads;
-        }
-        engine.next_worker.store(0, Ordering::Relaxed);
-        let expanded = engine.checkpoint_clock.load(Ordering::Relaxed);
-        engine.checkpoint_at.store(
-            expanded.saturating_add(hooks.every.unwrap_or(u64::MAX)),
-            Ordering::Relaxed,
-        );
-        engine.pause.store(false, Ordering::Relaxed);
-    }
-
-    let found = engine
-        .best
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .take()
-        .filter(|_| !provisional)
-        .map(|c| FoundViolation {
-            schedule: engine.schedule(&c.rank),
-            violation: c.violation,
-        });
-    let incomplete = engine
-        .abort_reason
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // A panicked worker may have poisoned these while dying; the surviving
-    // workers' data inside is still sound, so recover it rather than
-    // cascading the panic into the caller.
-    let retired = engine
-        .worker_stats
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let counters = cumulative(&base, &retired);
-    let stats = EffortStats {
-        transitions: counters.transitions,
-        pruned_sleep: counters.pruned_sleep,
-        cache_skips: counters.cache_skips,
-        unique_states: engine.cache.unique_states(),
-        complete: !engine.aborted.load(Ordering::Relaxed) && incomplete.is_none(),
-        incomplete,
-        ..EffortStats::default()
+    let mut verdict = engine(phase, config, threads, Vec::new()).run(start, &base, checkpoints);
+    let Some(violation) = verdict.found.take() else {
+        return verdict.outcome(&base);
     };
-    // Merge legs: worker indices restart at 0 each leg, so per-index sums
-    // give each logical worker's whole-run counters.
-    let mut workers: Vec<WorkerStats> = Vec::new();
-    for ws in retired {
-        match workers.iter_mut().find(|w| w.worker == ws.worker) {
-            Some(w) => w.add(&ws),
-            None => workers.push(ws),
-        }
+    // The verdict search stopped at the first violation it saw, which
+    // need not be the least. Name the witness the way one thread does.
+    let spent = total(&verdict.workers).transitions;
+    let rest = ExploreConfig {
+        max_transitions: config.max_transitions.saturating_sub(spent),
+        ..config.clone()
+    };
+    let mut witness = engine(SearchPhase::Witness, &rest, 1, verdict.workers).run(
+        Start::Root(root()),
+        &base,
+        checkpoints,
+    );
+    // An interrupted witness search never reports a pass: holding no
+    // candidate, it reports the verdict search's violation unless it
+    // wrote a checkpoint to resume from.
+    if witness.found.is_none() && !(witness.incomplete.is_some() && witness.checkpoint.is_some()) {
+        witness.found = Some(violation);
     }
-    workers.sort_by_key(|w| w.worker);
-    ExhaustiveOutcome {
-        found,
-        stats,
-        workers,
-        checkpoint: emitted,
+    witness.checkpoint = witness.checkpoint.or(verdict.checkpoint);
+    witness.outcome(&base)
+}
+
+/// Where a phase starts: the initial state, or a decoded checkpoint.
+enum Start {
+    Root(Machine),
+    Resume(ResumeSeed),
+}
+
+/// What one phase's engine leaves behind.
+struct PhaseEnd {
+    /// The best candidate, with its schedule; `None` when there was none
+    /// or it was provisional (a checkpoint holds a subtree that may still
+    /// beat it).
+    found: Option<FoundViolation>,
+    unique_states: usize,
+    complete: bool,
+    incomplete: Option<IncompleteReason>,
+    /// Every worker's counters over the run so far, in worker order.
+    workers: Vec<WorkerStats>,
+    /// The last checkpoint this phase wrote.
+    checkpoint: Option<(String, PathBuf)>,
+}
+
+impl PhaseEnd {
+    /// The run's outcome when this is its last phase.
+    fn outcome(self, base: &Counters) -> ExhaustiveOutcome {
+        let counters = cumulative(base, &self.workers);
+        ExhaustiveOutcome {
+            found: self.found,
+            stats: EffortStats {
+                transitions: counters.transitions,
+                pruned_sleep: counters.pruned_sleep,
+                cache_skips: counters.cache_skips,
+                unique_states: self.unique_states,
+                complete: self.complete,
+                incomplete: self.incomplete,
+                ..EffortStats::default()
+            },
+            workers: self.workers,
+            checkpoint: self.checkpoint,
+        }
     }
 }
 
 impl Engine<'_> {
+    /// Runs this phase from `start` until its frontier drains, an abort
+    /// fires, or (verdict phase) a violation is found. `base` is the
+    /// resume base, folded into checkpoint counters.
+    fn run(self, start: Start, base: &Counters, checkpoints: Option<&CheckpointHooks>) -> PhaseEnd {
+        match start {
+            Start::Root(root) => {
+                let root_rank = Rank::from_indices(&[]);
+                let (root_key, _) = cache_coords(&root, &SleepSet::empty(), self.symmetry);
+                self.cache
+                    .try_visit(root_key, &SleepSet::empty(), 0, &root_rank);
+                self.work
+                    .lock()
+                    .expect("work queue poisoned")
+                    .queue
+                    .push_back(Node {
+                        machine: root,
+                        sleep: SleepSet::empty(),
+                        depth: 0,
+                        rank: root_rank,
+                    });
+            }
+            Start::Resume(seed) => self.seed_resume(seed),
+        }
+
+        // The run loop: each iteration is one "leg" — spawn workers, let
+        // them run until the frontier drains, an abort fires, or a
+        // periodic pause trips, then join. With workers joined the search
+        // is trivially quiescent: the frontier is exactly `suspended` +
+        // the shared queue, which is what makes the snapshot sound
+        // without any in-band synchronisation barrier.
+        let threads = self.threads;
+        let mut emitted: Option<(String, PathBuf)> = None;
+        let mut provisional = false;
+        loop {
+            if threads == 1 {
+                self.worker_caught();
+            } else {
+                std::thread::scope(|s| {
+                    for _ in 0..threads {
+                        s.spawn(|| self.worker_caught());
+                    }
+                });
+            }
+            if self.phase == SearchPhase::Verdict && self.found_any.load(Ordering::Acquire) {
+                break; // a violation exists: the witness search takes over
+            }
+            let paused = self.pause.load(Ordering::Relaxed);
+            let aborted = self.aborted.load(Ordering::Relaxed);
+            if !paused && !aborted {
+                break; // frontier drained: the search is complete
+            }
+            let Some(hooks) = checkpoints else {
+                break; // aborted, checkpointing off: report incomplete as ever
+            };
+            let mut nodes = {
+                let mut suspended = self
+                    .suspended
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                std::mem::take(&mut *suspended)
+            };
+            {
+                let mut st = self.work.lock().expect("work queue poisoned");
+                nodes.extend(st.queue.drain(..));
+            }
+            let written = (hooks.emit)(self.snapshot(base, &nodes));
+            // A witness search aborted holding a candidate while its
+            // frontier still holds a lexicographically smaller subtree
+            // has not yet found the least witness: the candidate stays in
+            // the checkpoint for the resumed search to settle, and this
+            // leg reports incomplete.
+            provisional =
+                aborted && written.is_some() && nodes.iter().any(|n| self.still_viable(&n.rank));
+            emitted = written.or(emitted);
+            if aborted {
+                break;
+            }
+            // Periodic pause: thaw and run the next leg on the same engine.
+            {
+                let mut st = self.work.lock().expect("work queue poisoned");
+                st.queue.extend(nodes);
+                st.active = threads;
+            }
+            self.next_worker.store(0, Ordering::Relaxed);
+            let expanded = self.checkpoint_clock.load(Ordering::Relaxed);
+            self.checkpoint_at.store(
+                expanded.saturating_add(hooks.every.unwrap_or(u64::MAX)),
+                Ordering::Relaxed,
+            );
+            self.pause.store(false, Ordering::Relaxed);
+        }
+
+        let found = self
+            .best
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .take()
+            .filter(|_| !provisional)
+            .map(|c| FoundViolation {
+                schedule: self.schedule(&c.rank),
+                violation: c.violation,
+            });
+        let incomplete = self
+            .abort_reason
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        // A panicked worker may have poisoned this while dying; the
+        // surviving workers' data inside is still sound, so recover it
+        // rather than cascading the panic into the caller.
+        let mut workers = self
+            .worker_stats
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        workers.sort_by_key(|w| w.worker);
+        PhaseEnd {
+            found,
+            unique_states: self.cache.unique_states(),
+            complete: !self.aborted.load(Ordering::Relaxed) && incomplete.is_none(),
+            incomplete,
+            workers,
+            checkpoint: emitted,
+        }
+    }
+
     /// Seeds the engine from a decoded checkpoint: re-imports the cache
     /// image, re-offers the violation candidate, and rebuilds each
     /// frontier machine by replaying its rank from the initial state
@@ -747,12 +864,13 @@ impl Engine<'_> {
                 detail: c.violation.detail.clone(),
                 schedule: self.schedule(&c.rank),
             });
-        let retired = self
+        let workers = self
             .worker_stats
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         SnapshotData {
-            counters: cumulative(base, &retired),
+            phase: self.phase,
+            counters: cumulative(base, &workers),
             candidate,
             frontier,
             cache: self.cache.export(),
@@ -770,7 +888,27 @@ impl Engine<'_> {
         slot.get_or_insert(reason);
         drop(slot);
         self.aborted.store(true, Ordering::Relaxed);
+        self.wake_all();
+    }
+
+    /// Wakes every worker blocked in [`Engine::take`] after a stop flag
+    /// was raised. Taking the queue lock first means no worker is between
+    /// its check of the flags and its wait, so no wake-up is lost.
+    fn wake_all(&self) {
+        drop(
+            self.work
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+        );
         self.available.notify_all();
+    }
+
+    /// Whether workers must wind down: an abort, a pause request, or —
+    /// in the verdict phase — a violation found.
+    fn halted(&self) -> bool {
+        self.aborted.load(Ordering::Relaxed)
+            || self.pause.load(Ordering::Relaxed)
+            || (self.phase == SearchPhase::Verdict && self.found_any.load(Ordering::Acquire))
     }
 
     /// Runs a worker with a panic firewall. A panic — from a buggy
@@ -788,11 +926,21 @@ impl Engine<'_> {
     /// panicked worker still retires them: its effort stays in the
     /// report, the final snapshot and the registry.
     fn worker_caught(&self) {
-        let mut ws = WorkerStats {
-            worker: self.next_worker.fetch_add(1, Ordering::Relaxed) as u32,
-            ..WorkerStats::default()
-        };
-        let mut published = WorkerStats::default();
+        let index = self.next_worker.fetch_add(1, Ordering::Relaxed) as u32;
+        // Continue the index's counters from earlier legs and phases:
+        // they are already published, and snapshots never go backwards.
+        let mut ws = self
+            .worker_stats
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .iter()
+            .find(|w| w.worker == index)
+            .copied()
+            .unwrap_or(WorkerStats {
+                worker: index,
+                ..WorkerStats::default()
+            });
+        let mut published = ws;
         let mut local: Vec<Node> = Vec::new();
         let mut in_flight: Option<Node> = None;
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -811,10 +959,14 @@ impl Engine<'_> {
             suspended.append(&mut local);
         }
         self.telemetry.report(&ws, &mut published, 0, true);
-        self.worker_stats
+        let mut workers = self
+            .worker_stats
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(ws);
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        match workers.iter_mut().find(|w| w.worker == index) {
+            Some(slot) => *slot = ws,
+            None => workers.push(ws),
+        }
     }
 
     fn worker(
@@ -825,7 +977,7 @@ impl Engine<'_> {
         in_flight: &mut Option<Node>,
     ) {
         loop {
-            if self.aborted.load(Ordering::Relaxed) || self.pause.load(Ordering::Relaxed) {
+            if self.halted() {
                 if self.capture {
                     break; // keep `local`: worker_caught parks it
                 }
@@ -866,7 +1018,7 @@ impl Engine<'_> {
         let mut st = self.work.lock().expect("work queue poisoned");
         st.active -= 1;
         loop {
-            if self.aborted.load(Ordering::Relaxed) || self.pause.load(Ordering::Relaxed) {
+            if self.halted() {
                 self.available.notify_all();
                 return None;
             }
@@ -904,10 +1056,14 @@ impl Engine<'_> {
     /// Whether `rank` can still beat the best violation found so far.
     /// Subtrees that cannot are abandoned — this is how a found violation
     /// cooperatively cancels the rest of the search without giving up
-    /// witness determinism.
+    /// witness determinism. In the verdict phase any violation ends the
+    /// search, so nothing is viable after one.
     fn still_viable(&self, rank: &Rank) -> bool {
         if !self.found_any.load(Ordering::Acquire) {
             return true;
+        }
+        if self.phase == SearchPhase::Verdict {
+            return false;
         }
         match &*self.best.lock().expect("best-candidate slot poisoned") {
             Some(c) => *rank < c.rank,
@@ -921,7 +1077,11 @@ impl Engine<'_> {
             Some(c) if c.rank <= cand.rank => {}
             _ => *best = Some(cand),
         }
+        drop(best);
         self.found_any.store(true, Ordering::Release);
+        if self.phase == SearchPhase::Verdict {
+            self.wake_all();
+        }
     }
 
     /// Expands `node`, pushing its unexplored children onto `local` (in
@@ -935,7 +1095,7 @@ impl Engine<'_> {
         if !self.still_viable(&node.rank) {
             return false;
         }
-        if self.aborted.load(Ordering::Relaxed) || self.pause.load(Ordering::Relaxed) {
+        if self.halted() {
             return true; // frozen before any work on this node
         }
         if let Some(deadline) = self.config.deadline {
@@ -951,7 +1111,7 @@ impl Engine<'_> {
             // threshold only moves between legs, so exactly one worker
             // requests the pause.
             self.pause.store(true, Ordering::Relaxed);
-            self.available.notify_all();
+            self.wake_all();
         }
         ws.nodes_expanded += 1;
         ws.max_depth = ws.max_depth.max(node.depth);

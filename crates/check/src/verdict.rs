@@ -74,7 +74,11 @@ pub struct EffortStats {
     pub pruned_sleep: u64,
     /// State-cache skips (exhaustive mode only).
     pub cache_skips: u64,
-    /// Distinct states visited (exhaustive mode only).
+    /// Distinct states visited (exhaustive mode only). On a pass it is
+    /// every state within the step bound, at any thread count. On a
+    /// violation it is the states the sequential witness search visited
+    /// (a multi-thread search's verdict search is not counted), so it is
+    /// the same at any thread count too.
     pub unique_states: usize,
     /// Random schedules run (swarm mode only).
     pub schedules_run: usize,
@@ -103,8 +107,9 @@ pub struct Report {
     pub symmetry: bool,
     /// Whether the search ran the system's compiled bytecode
     /// ([`tpa_tso::VmSystem`]) instead of its native programs. `false`
-    /// when [`crate::Checker::vm`] was not requested or the system has no
-    /// compiler ([`tpa_tso::System::compile_vm`] returned `None`).
+    /// when [`crate::Execution::Compiled`] was not requested or the
+    /// system has no compiler ([`tpa_tso::System::compile_vm`] returned
+    /// `None`).
     pub vm: bool,
     /// How many biased random schedules the deadline-degradation swarm
     /// fallback ran after an exhaustive deadline expiry

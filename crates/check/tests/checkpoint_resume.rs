@@ -10,13 +10,19 @@
 //! until it completes. The final verdict, the lexicographically least
 //! witness and the unique/canonical state counts must be bit-equal to
 //! the control; per-leg effort counters legitimately differ, exactly as
-//! they already do across thread counts.
+//! they already do across thread counts. A checkpoint records which
+//! search it interrupted: a verdict-phase image resumes at any thread
+//! count, a witness-phase image on one thread, and chains that cross
+//! from one phase into the other must still match the control.
 
 use std::path::{Path, PathBuf};
 
 use tpa_algos::sim::bakery::BakeryLock;
 use tpa_check::invariant::{Invariant, Violation};
-use tpa_check::{Checker, Execution, Features, Report, StateKeys, Verdict};
+use tpa_check::{
+    Checker, Checkpoint, Execution, Features, IncompleteReason, Report, SearchPhase, StateKeys,
+    Verdict,
+};
 use tpa_tso::scripted::{Instr, ScriptSystem};
 use tpa_tso::{Directive, Machine, MemoryModel};
 
@@ -165,6 +171,155 @@ fn violation_witness_survives_interrupt_resume() {
     let (resumed, legs) = drive(make(0).exhaustive(), &make);
     assert!(legs >= 1, "chain completed without resuming");
     assert_identical(&control, &resumed, "bakery-nofence");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The phases of every checkpoint written into `dir`, oldest first
+/// (checkpoint ids sort by creation time).
+fn phases_in(dir: &Path) -> Vec<SearchPhase> {
+    let mut ckpts: Vec<Checkpoint> = std::fs::read_dir(dir)
+        .expect("scratch dir readable")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tpack"))
+        .map(|p| Checkpoint::load(&p).expect("a written checkpoint loads"))
+        .collect();
+    ckpts.sort_by(|a, b| a.id().cmp(b.id()));
+    ckpts.iter().map(Checkpoint::phase).collect()
+}
+
+/// A verdict-phase checkpoint resumes as a verdict search at any thread
+/// count. The fenceless bakery's first leg runs at 4 threads and stops
+/// in the verdict phase; the chain is resumed at 1 thread and, again
+/// from the start, at 2 threads. Each chain finds the violation in the
+/// verdict phase, carries on into the witness search (the checkpoints
+/// after that are witness-phase images, resumed on one thread) and must
+/// report the 1-thread control's witness and shrunk witness.
+#[test]
+fn verdict_phase_checkpoint_resumes_at_any_thread_count() {
+    let broken = BakeryLock::without_doorway_fence(2, 1);
+    let control = Checker::new(&broken).max_steps(60).threads(1).exhaustive();
+    assert!(
+        matches!(control.verdict, Verdict::Violation { .. }),
+        "control must catch the fenceless bakery"
+    );
+    let budget = interrupt_budget(&control);
+    for resume_threads in [1, 2] {
+        let label = format!("bakery-nofence resumed at {resume_threads}");
+        let dir = scratch(&format!("phase-{resume_threads}"));
+        let make = |leg: usize| {
+            let (threads, budget) = match leg {
+                // Both processes must run their six-access doorway and
+                // wait loop before mutual exclusion can fail, so no
+                // schedule of 8 transitions violates it: the first leg
+                // cannot leave the verdict phase.
+                0 => (4, 8),
+                _ => (resume_threads, budget),
+            };
+            Checker::new(&broken)
+                .max_steps(60)
+                .threads(threads)
+                .max_transitions(budget)
+                .checkpoint_dir(&*dir)
+        };
+        let first = make(0).exhaustive();
+        assert!(
+            matches!(first.verdict, Verdict::Incomplete { .. }),
+            "{label}: the first leg was not interrupted: {:?}",
+            first.verdict
+        );
+        let (resumed, legs) = drive(first, &make);
+        assert!(legs >= 2, "{label}: chain took {legs} resumed legs");
+        assert_identical(&control, &resumed, &label);
+        let phases = phases_in(&dir);
+        assert_eq!(phases.first(), Some(&SearchPhase::Verdict), "{label}");
+        assert!(
+            phases.contains(&SearchPhase::Witness),
+            "{label}: the chain never checkpointed its witness search: {phases:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Fires once process 0 has halted.
+struct Halted;
+impl Invariant for Halted {
+    fn name(&self) -> &'static str {
+        "halted"
+    }
+    fn check(&self, m: &Machine) -> Option<Violation> {
+        (m.peek_next(tpa_tso::ProcId(0)) == tpa_tso::machine::NextEvent::Halted).then(|| {
+            Violation {
+                invariant: "halted",
+                detail: "process 0 halted".into(),
+            }
+        })
+    }
+}
+
+/// A witness search interrupted before it holds a candidate never
+/// reports a pass. One process runs `fence; halt`: every state has one
+/// enabled directive, so the search is a single chain that ends by
+/// violating `Halted`. At 2 threads with a budget of exactly that
+/// chain's length, the verdict search spends the budget finding the
+/// violation and the witness search that follows has none left. Without
+/// a checkpoint the run reports the verdict search's violation,
+/// incomplete; with one it reports `Incomplete` with a witness-phase
+/// checkpoint, which resumes to the control's witness.
+#[test]
+fn interrupted_witness_search_never_passes() {
+    let sys = ScriptSystem::new(1, 1, |_| vec![Instr::Fence, Instr::Halt]);
+    let make = |threads: usize| {
+        Checker::new(&sys)
+            .invariants(vec![Box::new(Halted)])
+            .max_steps(4)
+            .threads(threads)
+    };
+    let control = make(1).exhaustive();
+    let Verdict::Violation { found: least, .. } = &control.verdict else {
+        panic!("the first step halts process 0: {:?}", control.verdict);
+    };
+    let chain = least.len() as u64;
+
+    let bare = make(2).max_transitions(chain).exhaustive();
+    let Verdict::Violation { found, .. } = &bare.verdict else {
+        panic!(
+            "no checkpoint: expected the verdict search's violation, got {:?}",
+            bare.verdict
+        );
+    };
+    assert_eq!(found, least);
+    assert!(!bare.stats.complete);
+    assert_eq!(
+        bare.stats.incomplete,
+        Some(IncompleteReason::BudgetExhausted)
+    );
+    assert_eq!(bare.stats.transitions, chain);
+
+    let dir = scratch("witness-interrupt");
+    let checkpointed = make(2)
+        .max_transitions(chain)
+        .checkpoint_dir(&*dir)
+        .exhaustive();
+    let Verdict::Incomplete {
+        checkpoint: Some(path),
+        ..
+    } = &checkpointed.verdict
+    else {
+        panic!(
+            "with a checkpoint: expected Incomplete, got {:?}",
+            checkpointed.verdict
+        );
+    };
+    let ckpt = Checkpoint::load(path).expect("load");
+    assert_eq!(ckpt.phase(), SearchPhase::Witness);
+    assert!(!ckpt.has_candidate());
+    assert_eq!(
+        ckpt.transitions(),
+        chain,
+        "the verdict search's transitions"
+    );
+    let resumed = make(2).resume(path).expect("compatible").exhaustive();
+    assert_identical(&control, &resumed, "witness-phase resume");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -397,13 +552,20 @@ fn periodic_checkpoints_are_resumable_and_non_perturbing() {
         .exhaustive();
     assert!(control.stats.complete);
     let dir = scratch("periodic");
+    let recorder = std::sync::Arc::new(tpa_obs::Recorder::in_memory());
     let with_ckpt = Checker::new(lock.as_ref())
         .max_steps(40)
         .threads(2)
         .checkpoint_dir(&*dir)
         .checkpoint_every(40)
+        .probe(recorder.clone())
         .exhaustive();
     assert_identical(&control, &with_ckpt, "tas with periodic checkpoints");
+    // Workers keep counting across the legs between snapshots, so the
+    // run log stays valid.
+    if let Err(e) = tpa_obs::schema::validate_lines(&recorder.lines()) {
+        panic!("run log across checkpoint legs is invalid: {e}");
+    }
     let mut snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("scratch dir readable")
         .map(|e| e.expect("dir entry").path())

@@ -3,11 +3,14 @@
 //!
 //! The engine promises that thread count changes wall-clock time and
 //! nothing else: the verdict, the witness schedule (lexicographically
-//! least violating schedule), and — on complete passing runs — the
-//! number of distinct states visited are all deterministic. Effort
-//! counters (`transitions`, pruning counts) are *not* compared: workers
+//! least violating schedule), and the number of distinct states visited
+//! (on complete passes, and on violations, where the sequential witness
+//! search counts them) are all deterministic. Effort counters
+//! (`transitions`, pruning counts) are *not* compared exactly: workers
 //! legitimately race to states that then need no re-expansion, so the
-//! amount of redundant work depends on scheduling.
+//! amount of redundant work depends on scheduling. It is bounded,
+//! though: a passing search on several threads does about the
+//! transitions of one.
 
 use std::sync::Arc;
 
@@ -40,6 +43,10 @@ fn assert_identical(seq: &Report, par: &Report, label: &str) {
         }
         (Verdict::Violation { found: a, .. }, Verdict::Violation { found: b, .. }) => {
             assert_eq!(a, b, "{label}: parallel witness differs from sequential");
+            assert_eq!(
+                seq.stats.unique_states, par.stats.unique_states,
+                "{label}: parallel witness search visited a different state set"
+            );
         }
         (s, p) => panic!(
             "{label}: verdicts disagree (sequential {}, parallel {})",
@@ -63,30 +70,69 @@ fn portfolio_n2_parallel_agrees_with_sequential() {
 }
 
 /// Negative control: the doorway-fence-stripped bakery is still caught
-/// under parallel exploration, with the same (deterministic) witness the
-/// sequential explorer reports.
+/// under parallel exploration, with the same (deterministic) witness and
+/// state count the sequential explorer reports. The parallel run counts
+/// the effort of both its searches, and only through its workers.
 #[test]
 fn parallel_exploration_still_catches_the_fenceless_bakery() {
-    let broken = BakeryLock::without_doorway_fence(2, 1);
-    let seq = Checker::new(&broken)
-        .max_steps(60)
-        .max_transitions(4_000_000)
-        .threads(1)
-        .exhaustive();
-    let par = Checker::new(&broken)
-        .max_steps(60)
-        .max_transitions(4_000_000)
-        .threads(PAR_THREADS)
-        .exhaustive();
-    let Verdict::Violation {
-        invariant, found, ..
-    } = &par.verdict
-    else {
-        panic!("parallel explorer missed the fenceless bakery");
+    for n in [2, 3] {
+        let broken = BakeryLock::without_doorway_fence(n, 1);
+        let seq = Checker::new(&broken)
+            .max_steps(60)
+            .max_transitions(4_000_000)
+            .threads(1)
+            .exhaustive();
+        let par = Checker::new(&broken)
+            .max_steps(60)
+            .max_transitions(4_000_000)
+            .threads(PAR_THREADS)
+            .exhaustive();
+        let Verdict::Violation {
+            invariant, found, ..
+        } = &par.verdict
+        else {
+            panic!("parallel explorer missed the fenceless bakery at n = {n}");
+        };
+        assert_eq!(*invariant, "mutual-exclusion");
+        assert!(!found.is_empty());
+        assert_identical(&seq, &par, &format!("bakery-nofence n = {n}"));
+        let executed: u64 = par.workers.iter().map(|w| w.transitions).sum();
+        assert_eq!(executed, par.stats.transitions, "n = {n}");
+        // The sequential witness search alone executes the 1-thread
+        // run's transitions; the verdict search comes on top.
+        assert!(par.stats.transitions > seq.stats.transitions, "n = {n}");
+        assert_eq!(par.workers.len(), PAR_THREADS, "n = {n}");
+    }
+}
+
+/// Redundancy regression guard: a passing search on several threads
+/// must not redo the work one thread does. Workers that reach a state
+/// out of lexicographic order no longer re-expand it, so 2 and 4
+/// threads stay within 1.25× the 1-thread transitions (the rank-ordered
+/// cache needed about 2×).
+#[test]
+fn parallel_passing_search_does_about_the_work_of_one_thread() {
+    let lock = tpa_algos::lock_by_name("filter", 3, 1).unwrap();
+    let run = |threads| {
+        Checker::new(lock.as_ref())
+            .max_steps(30)
+            .threads(threads)
+            .exhaustive()
     };
-    assert_eq!(*invariant, "mutual-exclusion");
-    assert!(!found.is_empty());
-    assert_identical(&seq, &par, "bakery-nofence");
+    let seq = run(1);
+    seq.assert_pass();
+    for threads in [2, 4] {
+        let par = run(threads);
+        assert_identical(&seq, &par, &format!("filter n = 3 @{threads}"));
+        let ratio = par.stats.transitions as f64 / seq.stats.transitions as f64;
+        assert!(
+            ratio <= 1.25,
+            "{threads} threads executed {ratio:.2}× the 1-thread transitions \
+             ({} vs {})",
+            par.stats.transitions,
+            seq.stats.transitions
+        );
+    }
 }
 
 /// Telemetry must be write-only: a recording probe attached to a machine
@@ -165,8 +211,13 @@ fn recording_probe_does_not_perturb_the_search() {
         let recorded = check(threads, Some(recorder.clone()));
         assert_identical(&bare, &nulled, &format!("NullProbe @{threads}"));
         assert_identical(&bare, &recorded, &format!("Recorder @{threads}"));
-        // The recording run did emit telemetry...
+        // The recording run did emit telemetry, and a valid log: each
+        // worker's counters only grow, through both searches of a
+        // multi-thread violation too...
         let lines = recorder.lines();
+        if let Err(e) = tpa_obs::schema::validate_lines(&lines) {
+            panic!("run log @{threads} is invalid: {e}");
+        }
         assert!(lines.iter().any(|l| l.contains("\"kind\":\"run_start\"")));
         assert!(lines.iter().any(|l| l.contains("\"kind\":\"worker\"")));
         assert!(lines.iter().any(|l| l.contains("\"kind\":\"run_finish\"")));
@@ -323,21 +374,22 @@ fn crash_enabled_searches_agree_across_thread_counts() {
     }
 }
 
-/// The witness stays put across *many* thread counts, not just 1-vs-4.
+/// The witness stays put across *many* thread counts, not just 1-vs-4:
+/// the schedule as found, its shrunk form and the state count.
 #[test]
 fn witness_is_stable_across_thread_counts() {
     let broken = BakeryLock::without_doorway_fence(2, 1);
     let mut witnesses = Vec::new();
-    for threads in [1, 2, 3, 8] {
+    for threads in [1, 2, 3, 4, 8] {
         let report = Checker::new(&broken)
             .max_steps(60)
             .max_transitions(4_000_000)
             .threads(threads)
             .exhaustive();
-        let Verdict::Violation { found, .. } = report.verdict else {
+        let Verdict::Violation { found, shrunk, .. } = report.verdict else {
             panic!("missed at {threads} threads");
         };
-        witnesses.push(found);
+        witnesses.push((found, shrunk, report.stats.unique_states));
     }
     assert!(
         witnesses.windows(2).all(|w| w[0] == w[1]),

@@ -1,7 +1,9 @@
 //! End-to-end tests for the `tpa_runs` binary against hand-damaged
 //! ledgers: `diff` must pair "latest" by `(created_us, seq, id)` rather
 //! than index-file position, and `list` must report torn/duplicate index
-//! lines instead of hiding them.
+//! lines instead of hiding them. Both gates — `diff` and `corpus
+//! --baseline` — flag unique-state drift between complete violating
+//! runs as well as passing ones.
 
 use std::fs;
 use std::io::Write as _;
@@ -130,5 +132,91 @@ fn list_on_a_clean_ledger_prints_no_warnings() {
     assert!(ok, "list failed:\n{text}");
     assert!(text.contains("2 runs"), "{text}");
     assert!(!text.contains("warning"), "{text}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A complete exhaustive run of scenario `s` with `verdict` and
+/// `unique_states`, resumed from checkpoint `resumed_from` unless empty.
+fn append_exhaustive(
+    ledger: &Ledger,
+    verdict: &str,
+    unique_states: u64,
+    resumed_from: &str,
+) -> String {
+    let mut rec = RunRecord {
+        scenario: "s".to_owned(),
+        algo: "bakery".to_owned(),
+        model: "tso".to_owned(),
+        mode: "exhaustive".to_owned(),
+        verdict: verdict.to_owned(),
+        complete: true,
+        resumed_from: resumed_from.to_owned(),
+        ..RunRecord::default()
+    };
+    rec.stats.insert("unique_states".to_owned(), unique_states);
+    ledger.append(&mut rec).expect("append")
+}
+
+/// Complete violating runs are held to their state count like passing
+/// ones, except a violation resumed from a checkpoint, whose witness
+/// search may have run in another order.
+#[test]
+fn diff_flags_state_drift_between_violating_runs() {
+    for (verdict, old, new, resumed, drift) in [
+        ("violation", 5325, 8098, "", true),
+        ("violation", 5325, 5325, "", false),
+        ("violation", 5325, 5400, "ckpt-0001", false),
+        ("pass", 778, 779, "", true),
+        ("pass", 778, 779, "ckpt-0001", true),
+    ] {
+        let dir = scratch(&format!("diff-states-{verdict}-{new}-{resumed}"));
+        let ledger = Ledger::open(&dir).expect("open");
+        append_exhaustive(&ledger, verdict, old, "");
+        append_exhaustive(&ledger, verdict, new, resumed);
+        drop(ledger);
+        let (ok, text) = run(&["diff", dir.to_str().unwrap()]);
+        assert_eq!(ok, !drift, "{verdict} {old} -> {new}:\n{text}");
+        assert_eq!(
+            text.contains(&format!("REGRESSION unique_states: {old} -> {new}")),
+            drift,
+            "{verdict} {old} -> {new}:\n{text}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn corpus_baseline_flags_state_drift_on_a_violating_clause() {
+    let dir = scratch("corpus-violation");
+    let corpus = dir.join("corpus");
+    fs::create_dir_all(&corpus).expect("corpus dir");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/litmus/sb.tpa");
+    fs::copy(&root, corpus.join("sb.tpa")).expect("copy sb.tpa");
+    let ledger = dir.join("ledger");
+    let base = dir.join("base.json");
+    let (c, l, b) = (
+        corpus.to_str().unwrap(),
+        ledger.to_str().unwrap(),
+        base.to_str().unwrap(),
+    );
+    let (ok, text) = run(&["corpus", c, "--ledger", l, "--out", b]);
+    assert!(ok, "corpus failed:\n{text}");
+    let (ok, text) = run(&["corpus", c, "--ledger", l, "--baseline", b]);
+    assert!(ok && text.contains("0 baseline regressions"), "{text}");
+    // Both sb clauses are complete violations; shift their pinned counts.
+    let report = fs::read_to_string(&base).expect("report");
+    let states = "\"unique_states\":16";
+    assert_eq!(report.matches(states).count(), 2, "{report}");
+    fs::write(&base, report.replace(states, "\"unique_states\":17")).expect("rewrite");
+    let (ok, text) = run(&["corpus", c, "--ledger", l, "--baseline", b]);
+    assert!(
+        !ok,
+        "state drift on violating clauses passed the gate:\n{text}"
+    );
+    assert!(
+        text.contains("unique_states Some(17) -> Some(16)"),
+        "{text}"
+    );
+    assert!(text.contains("2 baseline regressions"), "{text}");
     let _ = fs::remove_dir_all(&dir);
 }

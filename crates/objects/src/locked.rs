@@ -3,7 +3,7 @@
 //! The paper notes that counters, stacks and queues "can be easily
 //! implemented using the mutual exclusion algorithm presented by Attiya
 //! et al. \[6\]", inheriting the lock's complexity per operation. This
-//! module provides that construction on the simulator: a [`LockedCell`]
+//! module provides that construction on the simulator: a [`LockedCounter`]
 //! protects the object state with an inline test-and-set lock (a CAS
 //! spin), so every operation costs the lock's fences (two, solo: the
 //! acquiring CAS and the release fence) plus the state access — a

@@ -581,7 +581,7 @@ impl Index {
 /// A ledger directory handle. Creating one creates the directory (and
 /// `runs/`) if missing; appending assigns ids and timestamps.
 ///
-/// The in-memory [`Index`] sits behind one mutex, and every operation
+/// The in-memory index sits behind one mutex, and every operation
 /// on it — replaying `index.jsonl`, inserting an append, copying a read
 /// out — takes that lock once. A reader racing a writer therefore sees
 /// either all of an append or none of it, and the entries and

@@ -17,6 +17,9 @@
 //! them into one variable-relabeling table per permutation, rejecting any
 //! permutation the declared DSM ownership is not equivariant under.
 //!
+//! [`VarSpecBuilder::mark_pid_indexed`]: crate::VarSpecBuilder::mark_pid_indexed
+//! [`VarSpecBuilder::mark_pid_valued`]: crate::VarSpecBuilder::mark_pid_valued
+//!
 //! Soundness note: a permutation may be *invalid for a particular state*
 //! (e.g. a scan in pid order whose prefix is not preserved, or an
 //! unwritten pid-valued variable whose initial value the permutation

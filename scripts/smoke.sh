@@ -5,7 +5,8 @@
 #
 # Runs, in order:
 #   1. tier-1: release build + full test suite (offline, as CI does)
-#   2. clippy across the whole workspace, warnings promoted to errors
+#   2. clippy across the whole workspace, warnings promoted to errors,
+#      and rustdoc with warnings denied (broken and private doc links)
 #   3. the aggregated experiment harness in --quick mode
 #   4. the exhaustive-explorer smoke sweep, timed, on 4 worker threads
 #      (n = 2, incl. the bakery-nofence negative control — nonzero exit
@@ -46,10 +47,10 @@
 #      `tpa_runs diff` pairs the resumed run against the uninterrupted
 #      control — bit-equal verdict and state counts, with the
 #      interrupted run skipped as superseded; then a copy of the same
-#      scenario stopped by a 400-transition budget checkpoints a real
-#      frontier (nodes below the root, rebuilt on resume by replaying
-#      their ranks), which the committed file resumes to the baseline's
-#      778 states
+#      scenario stopped by a 400-transition budget on 2 threads
+#      checkpoints a real frontier (nodes below the root, rebuilt on
+#      resume by replaying their ranks) in the verdict phase, which the
+#      committed file resumes on 1 thread to the baseline's 778 states
 #  14. the benchmark's replay self-check: builds the `perf` package
 #      (examples/perf) against the current crates and runs `perf check`,
 #      which replays the n = 2 portfolio through the layers' public
@@ -77,8 +78,9 @@ echo "== [1/15] tier-1: build + tests =="
 t cargo build --offline --release --workspace
 t cargo test --offline -q --workspace
 
-echo "== [2/15] clippy (-D warnings) =="
+echo "== [2/15] clippy (-D warnings) + rustdoc (-D warnings) =="
 t cargo clippy --offline --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" t cargo doc --offline --no-deps --workspace
 
 echo "== [3/15] experiment harness (quick) =="
 TPA_BENCH_JSON="$SCRATCH/bench_report_all.json" \
@@ -235,10 +237,12 @@ grep -q 'skipped 1 interrupted run(s) superseded by a resume' "$SCRATCH/diff-ckp
 grep -q '^0 regressions' "$SCRATCH/diff-ckpt.txt" || { echo "resume diverged from control"; exit 1; }
 # A 0 ms deadline checkpoints only the root. A 400-transition budget
 # (a scratch copy: the committed file allows 4000000) stops mid-search
-# with a frontier of nodes below the root.
+# with a frontier of nodes below the root. On 2 threads the search is in
+# its verdict phase, and a verdict-phase image resumes at any thread
+# count: here, on 1 thread.
 sed 's/transitions 4000000/transitions 400/' scenarios/locks/filter.tpa > "$SCRATCH/filter-budget.tpa"
 grep -q 'transitions 400 ' "$SCRATCH/filter-budget.tpa" || { echo "budget edit did not apply"; exit 1; }
-if t cargo run --offline --release -p tpa-check --bin check_file -- \
+if t cargo run --offline --release -p tpa-check --bin check_file -- --threads 2 \
     --checkpoint-dir "$SCRATCH/ckpt-budget" "$SCRATCH/filter-budget.tpa" > "$SCRATCH/budget.txt"; then
     echo "budget-interrupted run must exit non-zero"; exit 1
 fi
@@ -249,9 +253,11 @@ t cargo run --offline --release -p tpa-bench --bin obs_validate -- --checkpoint 
     | tee "$SCRATCH/budget-ckpt.txt"
 grep -Eq 'cached states, ([2-9]|[1-9][0-9]+) frontier nodes' "$SCRATCH/budget-ckpt.txt" \
     || { echo "budget checkpoint holds no frontier below the root"; exit 1; }
+grep -q 'phase: verdict' "$SCRATCH/budget-ckpt.txt" \
+    || { echo "a 2-thread budget checkpoint is not a verdict-phase image"; exit 1; }
 # The committed file resumes it: same fingerprint, so the frontier is
 # replayed and the search completes at scenarios/BASELINE.json's count.
-t cargo run --offline --release -p tpa-check --bin check_file -- \
+t cargo run --offline --release -p tpa-check --bin check_file -- --threads 1 \
     --resume "$BUDGET_FILE" scenarios/locks/filter.tpa > "$SCRATCH/budget-resumed.txt"
 cat "$SCRATCH/budget-resumed.txt"
 grep -q '\[resumed\] (778 states' "$SCRATCH/budget-resumed.txt" \
