@@ -113,12 +113,12 @@ pub(crate) mod hwtest {
     pub fn hammer(lock: Arc<dyn RawLock>, threads: usize, iters: usize) {
         let in_cs = Arc::new(AtomicU64::new(0));
         let counter = Arc::new(AtomicU64::new(0));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..threads {
                 let lock = Arc::clone(&lock);
                 let in_cs = Arc::clone(&in_cs);
                 let counter = Arc::clone(&counter);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..iters {
                         let token = lock.acquire(tid);
                         let now = in_cs.fetch_add(1, Ordering::SeqCst);
@@ -134,8 +134,7 @@ pub(crate) mod hwtest {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(
             counter.load(Ordering::Relaxed),
             (threads * iters) as u64,

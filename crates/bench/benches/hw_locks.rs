@@ -4,11 +4,11 @@
 //! For every lock of the hardware portfolio, measures the wall time of a
 //! fixed number of lock-protected critical sections executed by `t`
 //! threads (`t ∈ {1, 2, 4}` clamped to the host), and reports the fence
-//! count per acquire via a one-shot calibration. `parking_lot::Mutex` is
-//! included as an industrial baseline.
+//! count per acquire via a one-shot calibration. `std::sync::Mutex` is
+//! included as an industrial baseline (row `std_mutex`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,11 +19,11 @@ const OPS_PER_THREAD: usize = 2_000;
 fn hammer_once(lock: &Arc<dyn RawLock>, threads: usize) -> std::time::Duration {
     let counter = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let lock = Arc::clone(lock);
             let counter = Arc::clone(&counter);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..OPS_PER_THREAD {
                     let token = lock.acquire(tid);
                     counter.fetch_add(1, Ordering::Relaxed);
@@ -31,8 +31,7 @@ fn hammer_once(lock: &Arc<dyn RawLock>, threads: usize) -> std::time::Duration {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(
         counter.load(Ordering::Relaxed) as usize,
         threads * OPS_PER_THREAD
@@ -66,26 +65,25 @@ fn bench_hw_locks(c: &mut Criterion) {
             );
         }
         // Industrial baseline.
-        let std_lock = Arc::new(parking_lot::Mutex::new(0u64));
+        let std_lock = Arc::new(Mutex::new(0u64));
         group.bench_with_input(
-            BenchmarkId::new("parking_lot", threads),
+            BenchmarkId::new("std_mutex", threads),
             &threads,
             |b, &threads| {
                 b.iter_custom(|iters| {
                     let mut total = std::time::Duration::ZERO;
                     for _ in 0..iters {
                         let start = Instant::now();
-                        crossbeam::scope(|s| {
+                        std::thread::scope(|s| {
                             for _ in 0..threads {
                                 let lock = Arc::clone(&std_lock);
-                                s.spawn(move |_| {
+                                s.spawn(move || {
                                     for _ in 0..OPS_PER_THREAD {
-                                        *lock.lock() += 1;
+                                        *lock.lock().unwrap() += 1;
                                     }
                                 });
                             }
-                        })
-                        .unwrap();
+                        });
                         total += start.elapsed();
                     }
                     total

@@ -1,29 +1,27 @@
 //! C1: explorer effort across the lock portfolio — how far the sleep-set
-//! and state-cache reductions carry bounded-exhaustive verification, and
-//! what the work-distributing parallel engine buys on top.
+//! and state-cache reductions carry bounded-exhaustive verification.
 //!
 //! For each simulated lock at small `n` this runs the `Checker`
 //! exhaustive explorer twice — through the native programs and through
 //! the compiled bytecode VM (`Execution::Compiled`) — and reports
-//! transitions executed, directives put to sleep, state-cache skips,
-//! distinct states, wall time, and search throughput for both paths, as
-//! adjacent rows: the numbers behind the C1 table in EXPERIMENTS.md. A
-//! 1-thread-vs-4-thread rerun of one instance records the parallel
-//! speedup, a per-lock line records the VM-vs-native throughput ratio,
-//! and a final line demonstrates the verdict pipeline on the
-//! deliberately broken `bakery-nofence` variant: found, shrunk, sized.
+//! transitions executed, directives put to sleep, state-cache skips and
+//! distinct states for both paths, as adjacent rows: the numbers behind
+//! the C1 table in EXPERIMENTS.md. A final line demonstrates the verdict
+//! pipeline on the deliberately broken `bakery-nofence` variant: found,
+//! shrunk, sized.
 //!
-//! The machine-readable record lands in `BENCH_check.json` (override the
-//! path with `TPA_BENCH_JSON`); `TPA_JSON` still exports the raw rows.
+//! The output holds no timings, so two runs with the same flags print
+//! the same bytes; the checker's speed comes from the benchmark in
+//! `examples/perf`. `TPA_JSON` exports the raw rows.
 //!
 //! Usage: `exp_c1_explorer [--quick] [--threads N]`
 //! `--quick` restricts to n = 2 and a smaller step bound; `--threads`
-//! defaults to everything the machine has.
+//! defaults to 1.
 
 use std::sync::Arc;
 
 use tpa_bench::{c1, obs, report};
-use tpa_check::{default_threads, Verdict};
+use tpa_check::{Features, Verdict};
 use tpa_obs::Probe;
 
 fn main() {
@@ -36,7 +34,7 @@ fn main() {
         .position(|a| a == "--threads")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or_else(default_threads)
+        .unwrap_or(1)
         .max(1);
     let sizes: &[(usize, usize)] = if quick {
         &[(2, 40)]
@@ -51,19 +49,10 @@ fn main() {
     );
     report::maybe_write_json("c1_explorer", rows.as_slice());
 
-    println!("\nVM-vs-native search throughput (states/s ratio, same state set):");
-    for (algo, n, ratio) in c1::vm_speedups(&rows) {
-        println!("  {algo:<16} n={n}  {ratio:.2}x");
-    }
-
-    let (speedup_n, speedup_steps) = if quick { (2, 40) } else { (3, 40) };
-    let speedup = c1::measure_speedup("tas", speedup_n, speedup_steps, probe.as_ref());
-    c1::write_bench_json(threads, &rows, &speedup);
-
     // The negative control: a lock with a dropped fence must be caught
     // and the counterexample must shrink to a short schedule.
     let broken = tpa_algos::sim::bakery::BakeryLock::without_doorway_fence(2, 1);
-    let report = c1::check(&broken, 60, threads, probe.as_ref());
+    let report = c1::check(&broken, 60, threads, Features::default(), probe.as_ref());
     match &report.verdict {
         Verdict::Violation {
             invariant,

@@ -14,13 +14,13 @@
 //! keeping the data-losing crash — a crash-induced exclusion violation.
 //!
 //! Usage: `exp_r1_crash [--quick] [--threads N]`
-//! `--quick` lowers the step bound; `--threads` defaults to everything
-//! the machine has.
+//! `--quick` lowers the step bound; `--threads` defaults to 1, where
+//! every column is reproducible.
 
 use std::sync::Arc;
 
 use tpa_bench::{obs, r1, report};
-use tpa_check::{default_threads, Verdict};
+use tpa_check::Verdict;
 use tpa_obs::Probe;
 use tpa_tso::Directive;
 
@@ -34,7 +34,7 @@ fn main() {
         .position(|a| a == "--threads")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or_else(default_threads)
+        .unwrap_or(1)
         .max(1);
     let max_steps = if quick { 28 } else { 40 };
 

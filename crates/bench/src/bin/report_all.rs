@@ -3,7 +3,8 @@
 //! (H1) come from `cargo bench -p tpa-bench` separately.
 //!
 //! Usage: `report_all [--quick]`
-//! `--quick` shrinks the sweeps for CI-style smoke runs.
+//! `--quick` shrinks the sweeps for CI-style smoke runs. C1 and R1 run
+//! on one thread, where every column they print is reproducible.
 
 use std::sync::Arc;
 
@@ -244,27 +245,19 @@ fn main() {
         &rows,
     );
 
-    // C1: the checker cross-validation, parallel across what the machine
-    // has. Also emits the BENCH_check.json benchmark record.
-    let threads = tpa_check::default_threads();
+    // C1: the checker cross-validation.
     let sizes: &[(usize, usize)] = if quick {
         &[(2, 40)]
     } else {
         &[(2, 60), (3, 40)]
     };
-    let c1 = tpa_bench::c1::portfolio_rows(sizes, threads, probe.as_ref());
-    tpa_bench::c1::print_table(&format!("C1: explorer effort ({threads} threads)"), &c1);
-    let (sp_n, sp_steps) = if quick { (2, 40) } else { (3, 40) };
-    let speedup = tpa_bench::c1::measure_speedup("tas", sp_n, sp_steps, probe.as_ref());
-    tpa_bench::c1::write_bench_json(threads, &c1, &speedup);
+    let c1 = tpa_bench::c1::portfolio_rows(sizes, 1, probe.as_ref());
+    tpa_bench::c1::print_table("C1: explorer effort (1 thread)", &c1);
 
     // R1: the crash-fault model across the bakery variants.
     let r1_steps = if quick { 28 } else { 40 };
-    let r1 = tpa_bench::r1::portfolio_rows(2, r1_steps, threads, probe.as_ref());
-    tpa_bench::r1::print_table(
-        &format!("R1: crash-fault model (n = 2, {threads} threads)"),
-        &r1,
-    );
+    let r1 = tpa_bench::r1::portfolio_rows(2, r1_steps, 1, probe.as_ref());
+    tpa_bench::r1::print_table("R1: crash-fault model (n = 2, 1 thread)", &r1);
 
     tpa_bench::obs::finish(&recorder);
     println!("\nall simulator experiments complete; run `cargo bench -p tpa-bench` for H1.");

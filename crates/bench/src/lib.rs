@@ -14,7 +14,7 @@
 //! | T4 | Corollary 1 / Section 6 — the adaptive-vs-fence separation | `exp_t4_separation` |
 //! | T5 | Lemma 9 — object-to-mutex reduction cost transfer | `exp_t5_lemma9` |
 //! | T6 | Theorem 1 — the feasibility frontier across f-families | `exp_t6_frontier` |
-//! | C1 | checker cross-validation — explorer effort & parallel speedup | `exp_c1_explorer` |
+//! | C1 | checker cross-validation — explorer effort, native vs VM, symmetry | `exp_c1_explorer` |
 //! | R1 | crash-fault model — crash budgets across the bakery variants | `exp_r1_crash` |
 //!
 //! Each binary prints an aligned table and, when the `TPA_JSON`

@@ -35,8 +35,6 @@ pub struct CrashRow {
     pub transitions: u64,
     /// Distinct states visited.
     pub unique_states: usize,
-    /// Wall-clock time for the whole search, in milliseconds.
-    pub wall_ms: f64,
     /// Whether the search exhausted the bounded space.
     pub complete: bool,
     /// `"pass"`, `"incomplete"`, or `"VIOLATION(<invariant>)"`.
@@ -74,7 +72,6 @@ impl CrashRow {
             max_crashes,
             transitions: report.stats.transitions,
             unique_states: report.stats.unique_states,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
             complete: report.stats.complete,
             verdict,
             witness_len,
@@ -93,7 +90,6 @@ impl ToJson for CrashRow {
             ("max_crashes", self.max_crashes.to_json()),
             ("transitions", self.transitions.to_json()),
             ("unique_states", self.unique_states.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
             ("complete", self.complete.to_json()),
             ("verdict", self.verdict.to_json()),
             ("witness_len", self.witness_len.to_json()),
@@ -187,7 +183,6 @@ pub fn print_table(title: &str, rows: &[CrashRow]) {
                 r.max_crashes.to_string(),
                 r.transitions.to_string(),
                 r.unique_states.to_string(),
-                format!("{:.1}", r.wall_ms),
                 if r.complete { "yes" } else { "budget" }.to_string(),
                 r.verdict.clone(),
                 r.witness_len.to_string(),
@@ -205,7 +200,6 @@ pub fn print_table(title: &str, rows: &[CrashRow]) {
             "crashes",
             "transitions",
             "states",
-            "wall ms",
             "complete",
             "verdict",
             "witness",

@@ -7,6 +7,8 @@
 use std::fs;
 use std::io::Write as _;
 
+use tpa_obs::json::escape;
+
 /// Prints an aligned text table: `headers` then `rows` of equal arity.
 ///
 /// # Panics
@@ -41,32 +43,13 @@ pub trait ToJson {
     fn to_json(&self) -> String;
 }
 
-/// Escapes a string per RFC 8259.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders an object from `(key, rendered-value)` pairs, one field per
 /// line — the shape `serde_json::to_string_pretty` produced for the flat
 /// row structs.
 pub fn json_object(fields: &[(&str, String)]) -> String {
     let body = fields
         .iter()
-        .map(|(k, v)| format!("  {}: {}", json_string(k), v.replace('\n', "\n  ")))
+        .map(|(k, v)| format!("  {}: {}", escape(k), v.replace('\n', "\n  ")))
         .collect::<Vec<_>>()
         .join(",\n");
     format!("{{\n{body}\n}}")
@@ -80,13 +63,13 @@ impl ToJson for bool {
 
 impl ToJson for String {
     fn to_json(&self) -> String {
-        json_string(self)
+        escape(self)
     }
 }
 
 impl ToJson for str {
     fn to_json(&self) -> String {
-        json_string(self)
+        escape(self)
     }
 }
 
@@ -202,16 +185,6 @@ pub fn maybe_write_json<T: ToJson + ?Sized>(experiment: &str, rows: &T) {
     }
 }
 
-/// Writes `payload` to `path` unconditionally — for benchmark artifacts
-/// that are committed alongside the docs (e.g. `BENCH_check.json`).
-/// Errors are reported to stderr but never fatal.
-pub fn write_json_file(experiment: &str, path: &str, payload: &str) {
-    match fs::File::create(path).and_then(|mut f| f.write_all(payload.as_bytes())) {
-        Ok(()) => eprintln!("[{experiment}] benchmark record written to {path}"),
-        Err(e) => eprintln!("[{experiment}] cannot write {path}: {e}"),
-    }
-}
-
 /// Formats a float compactly for table cells.
 pub fn fmt_f64(x: f64) -> String {
     if x == 0.0 {
@@ -247,12 +220,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_panic() {
         print_table("demo", &["a"], &[vec!["1".into(), "2".into()]]);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_string("plain"), "\"plain\"");
     }
 
     #[test]

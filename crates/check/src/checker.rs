@@ -487,9 +487,12 @@ impl<'a> Checker<'a> {
     }
 
     /// Worker threads for the search (both modes). Any count produces the
-    /// same verdict, witness and unique-state count. An exhaustive search
-    /// on more than one thread decides the verdict without the cache's
-    /// rank test and, only when it finds a violation, runs the sequential
+    /// same verdict and witness, and with concrete keys the same
+    /// unique-state count. With [`StateKeys::Canonical`] a passing
+    /// search's count is stable only on one thread (see
+    /// [`crate::EffortStats::unique_states`]). An exhaustive search on
+    /// more than one thread decides the verdict without the cache's rank
+    /// test and, only when it finds a violation, runs the sequential
     /// witness search after it; see [`crate::parallel`]. Use
     /// [`crate::parallel::default_threads`] for "all the machine has".
     pub fn threads(mut self, threads: usize) -> Self {

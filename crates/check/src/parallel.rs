@@ -26,13 +26,19 @@
 //!   violation, from the root with a fresh cache and what is left of the
 //!   transition budget and the deadline.
 //!
-//! So every thread count reports the same verdict, the same witness and
-//! the same `unique_states`: a pass's state count is the set of states
-//! within the step bound, whatever order workers reach them in, and a
-//! violation's comes from the sequential witness search. Every node
-//! carries its **rank** (the path of sibling indices from the root, as a
-//! compact byte string); ranks order nodes exactly as a sequential DFS
-//! visits them.
+//! So every thread count reports the same verdict and the same witness.
+//! With concrete keys it also reports the same `unique_states`: a pass's
+//! state count is the set of states within the step bound, whatever
+//! order workers reach them in, and a violation's comes from the
+//! sequential witness search. With canonical keys only one thread and
+//! violations give a stable count: two states of one symmetry orbit can
+//! have different canonical keys when a renaming's validity depends on
+//! the state, so a multi-thread pass records whichever keys its workers
+//! reach first.
+//!
+//! Every node carries its **rank** (the path of sibling indices from the
+//! root, as a compact byte string); ranks order nodes exactly as a
+//! sequential DFS visits them.
 //!
 //! Workers donate the bottom half of their private stack (their
 //! lexicographically *latest* work) to the shared queue whenever it runs
@@ -433,9 +439,10 @@ fn cache_coords(
 /// More threads run the verdict search and, only if it finds a
 /// violation, the witness search after it (see the
 /// [module docs](crate::parallel)). Any thread count yields the same
-/// verdict, the same witness schedule and the same `unique_states`;
-/// `transitions` and the pruning counters may differ, since workers race
-/// to states that then need no re-expansion.
+/// verdict and the same witness schedule, and with concrete keys the
+/// same `unique_states` (with canonical keys, a pass's count is stable
+/// only on one thread); `transitions` and the pruning counters may
+/// differ, since workers race to states that then need no re-expansion.
 ///
 /// `probe` (if any) receives periodic and final [`WorkerSnapshot`]s, and
 /// `metrics` (if any) gets each worker's counters at the same points;

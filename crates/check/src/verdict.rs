@@ -74,11 +74,18 @@ pub struct EffortStats {
     pub pruned_sleep: u64,
     /// State-cache skips (exhaustive mode only).
     pub cache_skips: u64,
-    /// Distinct states visited (exhaustive mode only). On a pass it is
-    /// every state within the step bound, at any thread count. On a
-    /// violation it is the states the sequential witness search visited
-    /// (a multi-thread search's verdict search is not counted), so it is
-    /// the same at any thread count too.
+    /// Distinct states visited (exhaustive mode only). On a pass with
+    /// concrete keys it is every state within the step bound, at any
+    /// thread count. On a violation it is the states the sequential
+    /// witness search visited (a multi-thread search's verdict search is
+    /// not counted), so it is the same at any thread count too.
+    ///
+    /// With [`crate::StateKeys::Canonical`] it counts canonical keys. The
+    /// count is stable on one thread and on a violation, but a pass on
+    /// more than one thread may count slightly more or fewer: where a
+    /// renaming's validity depends on the state, two states of one orbit
+    /// can have different keys, so which keys get recorded depends on
+    /// which state of the orbit a worker expands first.
     pub unique_states: usize,
     /// Random schedules run (swarm mode only).
     pub schedules_run: usize,
@@ -128,25 +135,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Distinct states visited per wall-clock second (exhaustive mode).
-    ///
-    /// Always finite: a zero (or otherwise degenerate) wall clock yields
-    /// `0.0` rather than `inf`/`NaN` — this value flows straight into
-    /// BENCH_check.json, and JSON has no representation for non-finite
-    /// numbers.
-    pub fn states_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if !secs.is_finite() || secs <= 0.0 {
-            return 0.0;
-        }
-        let rate = self.stats.unique_states as f64 / secs;
-        if rate.is_finite() {
-            rate
-        } else {
-            0.0
-        }
-    }
-
     /// Panics with the rendered counterexample if the check failed — the
     /// one-liner test assertion. An [`Verdict::Incomplete`] run also
     /// panics: "no violation found in the part we explored" is not a
@@ -275,17 +263,5 @@ mod tests {
         assert!(sw.verdict.passed());
         assert_eq!(sw.mode, "swarm");
         assert_eq!(sw.stats.schedules_run, 6);
-    }
-
-    #[test]
-    fn states_per_sec_is_finite_for_degenerate_walls() {
-        let mut report = Checker::new(&disjoint_writers()).exhaustive();
-        report.stats.unique_states = 1_000_000;
-        report.wall = std::time::Duration::ZERO;
-        let rate = report.states_per_sec();
-        assert!(rate.is_finite(), "zero wall must not produce inf/NaN");
-        assert_eq!(rate, 0.0);
-        report.wall = std::time::Duration::from_secs(2);
-        assert_eq!(report.states_per_sec(), 500_000.0);
     }
 }

@@ -1,75 +1,7 @@
-//! Offline drop-in replacement for the subset of `crossbeam` this
-//! workspace uses: [`scope`] (over `std::thread::scope`, stable since
-//! Rust 1.63) and [`utils::CachePadded`].
+//! Offline drop-in replacement for the one `crossbeam` item this
+//! workspace uses: [`utils::CachePadded`].
 //!
 //! The build environment has no network access, so the real crate cannot
-//! be fetched. Semantics differ from upstream in one place: a panic in a
-//! spawned thread propagates out of [`scope`] as a panic rather than an
-//! `Err` — callers here all `.unwrap()` the result, so the observable
-//! behaviour (test/bench fails) is the same.
+//! be fetched. Scoped threads come from `std::thread::scope`.
 
 pub mod utils;
-
-/// A scope handle mirroring `crossbeam::thread::Scope`.
-///
-/// Upstream passes `&Scope` to every spawned closure so threads can spawn
-/// siblings; we forward to `std::thread::Scope`, which supports the same.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread; the closure receives the scope handle,
-    /// matching upstream's `spawn(|s| ...)` signature.
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }))
-    }
-}
-
-/// Runs `f` with a scope in which borrowed-data threads can be spawned;
-/// all threads are joined before this returns.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn std::any::Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
-/// Upstream module path compatibility (`crossbeam::thread::scope`).
-pub mod thread {
-    pub use crate::{scope, Scope};
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn scoped_threads_share_borrowed_state() {
-        let hits = AtomicU64::new(0);
-        crate::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| hits.fetch_add(1, Ordering::SeqCst));
-            }
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn nested_spawn_via_the_handle() {
-        let hits = AtomicU64::new(0);
-        crate::scope(|s| {
-            s.spawn(|s2| {
-                s2.spawn(|_| hits.fetch_add(1, Ordering::SeqCst));
-            });
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-}

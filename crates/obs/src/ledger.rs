@@ -57,13 +57,12 @@ pub const RUN_RECORD_VERSION: u64 = 1;
 /// Env vars excluded from the fingerprint: they name *output* paths and
 /// cadences, which vary per invocation without affecting any result. A
 /// scratch-dir change must not read as an environment difference.
-const FINGERPRINT_EXCLUDED: [&str; 6] = [
+const FINGERPRINT_EXCLUDED: [&str; 5] = [
     "TPA_OBS_JSONL",
     "TPA_OBS_TRACE",
     "TPA_OBS_METRICS",
     "TPA_OBS_LEDGER",
     "TPA_OBS_HEARTBEAT_MS",
-    "TPA_BENCH_JSON",
 ];
 
 /// Where and how a run happened: enough to explain a result drift that

@@ -32,11 +32,11 @@ fn main() {
             let counter = Arc::new(AtomicU64::new(0));
             let fences_before = lock.fences();
             let start = Instant::now();
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for tid in 0..threads {
                     let lock = Arc::clone(&lock);
                     let counter = Arc::clone(&counter);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for _ in 0..ops {
                             let token = lock.acquire(tid);
                             counter.fetch_add(1, Ordering::Relaxed);
@@ -44,8 +44,7 @@ fn main() {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             let elapsed = start.elapsed();
             let total_ops = (threads * ops) as u64;
             assert_eq!(counter.load(Ordering::Relaxed), total_ops);

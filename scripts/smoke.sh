@@ -8,9 +8,10 @@
 #   2. clippy across the whole workspace, warnings promoted to errors,
 #      and rustdoc with warnings denied (broken and private doc links)
 #   3. the aggregated experiment harness in --quick mode
-#   4. the exhaustive-explorer smoke sweep, timed, on 4 worker threads
-#      (n = 2, incl. the bakery-nofence negative control — nonzero exit
-#      if it slips by)
+#   4. the exhaustive-explorer smoke sweep (n = 2, incl. the
+#      bakery-nofence negative control — nonzero exit if it slips by):
+#      twice at the default thread count, whose outputs must be
+#      byte-identical, then timed on 4 worker threads
 #   5. symmetry + swarm resilience: the whole portfolio verified
 #      bounded-exhaustively at n = 3 with symmetry reduction engaged,
 #      then the swarm determinism pin across 1/2/4/8 worker threads
@@ -25,8 +26,10 @@
 #      and the parser fuzz battery
 #   8. the crash-fault model: exhaustive n = 2 with a crash budget of 1;
 #      the crash-gated negative control (unfenced recoverable bakery)
-#      must be caught and shrunk with its crash, and the telemetry it
-#      emits — crash events included — must pass schema validation
+#      must be caught and shrunk with its crash, two runs at the default
+#      thread count must print byte-identical output, and the telemetry
+#      a 4-thread run emits — crash events included — must pass schema
+#      validation
 #   9. telemetry: rerun the explorer with TPA_OBS_* set and validate the
 #      JSONL run log and the Perfetto trace with obs_validate
 #  10. metrics + run ledger: the whole corpus through `tpa_runs corpus`
@@ -63,13 +66,15 @@
 # instead of hanging it — the same discipline the checker itself applies
 # to its searches.
 #
-# Stages 3-10 redirect BENCH_check.json to a scratch dir so a smoke run
-# never clobbers the committed benchmark record.
+# BENCH_check.json is the benchmark's committed record (`perf run
+# --repeat 5 --out BENCH_check.json`); the run fails if any stage
+# changed it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
+BENCH_SUM="$(sha256sum BENCH_check.json)"
 
 STAGE_TIMEOUT="${SMOKE_STAGE_TIMEOUT:-900}"
 t() { timeout --foreground "$STAGE_TIMEOUT" "$@"; }
@@ -83,12 +88,14 @@ t cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" t cargo doc --offline --no-deps --workspace
 
 echo "== [3/15] experiment harness (quick) =="
-TPA_BENCH_JSON="$SCRATCH/bench_report_all.json" \
-    t cargo run --offline --release -p tpa-bench --bin report_all -- --quick
+t cargo run --offline --release -p tpa-bench --bin report_all -- --quick
 
-echo "== [4/15] parallel explorer smoke (quick, 4 threads, timed) =="
-time TPA_BENCH_JSON="$SCRATCH/bench_c1.json" \
-    t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
+echo "== [4/15] explorer smoke (quick): reproducible at the default thread count, then 4 threads, timed =="
+t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick > "$SCRATCH/c1-a.txt"
+t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick > "$SCRATCH/c1-b.txt"
+cat "$SCRATCH/c1-a.txt"
+cmp "$SCRATCH/c1-a.txt" "$SCRATCH/c1-b.txt" || { echo "two exp_c1_explorer runs differ"; exit 1; }
+time t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
 
 echo "== [5/15] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
 time t cargo test --offline --release -q \
@@ -106,14 +113,17 @@ time t cargo run --offline --release -p tpa-check --bin check_file -- \
 time t cargo test --offline --release -q --test corpus
 t cargo test --offline --release -q --test dsl_diagnostics --test dsl_props
 
-echo "== [8/15] crash-fault model (quick, negative control + telemetry) =="
+echo "== [8/15] crash-fault model (quick, negative control, reproducibility + telemetry) =="
+t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick > "$SCRATCH/r1-a.txt"
+t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick > "$SCRATCH/r1-b.txt"
+cat "$SCRATCH/r1-a.txt"
+cmp "$SCRATCH/r1-a.txt" "$SCRATCH/r1-b.txt" || { echo "two exp_r1_crash runs differ"; exit 1; }
 TPA_OBS_JSONL="$SCRATCH/crash.jsonl" \
     t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick --threads 4
 test -s "$SCRATCH/crash.jsonl" || { echo "crash-model run log missing"; exit 1; }
 t cargo run --offline --release -p tpa-bench --bin obs_validate -- "$SCRATCH/crash.jsonl"
 
 echo "== [9/15] telemetry: JSONL + Perfetto export, schema-validated =="
-TPA_BENCH_JSON="$SCRATCH/bench_obs.json" \
 TPA_OBS_JSONL="$SCRATCH/run.jsonl" \
 TPA_OBS_TRACE="$SCRATCH/trace.json" \
     t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
@@ -269,4 +279,6 @@ t cargo run --offline --release --manifest-path examples/perf/Cargo.toml -- chec
 echo "== [15/15] cargo fmt --check =="
 t cargo fmt --all -- --check
 
+[ "$(sha256sum BENCH_check.json)" = "$BENCH_SUM" ] \
+    || { echo "a stage changed BENCH_check.json"; exit 1; }
 echo "smoke: all green"
