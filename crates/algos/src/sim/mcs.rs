@@ -244,10 +244,6 @@ impl McsProgram {
 }
 
 impl Program for McsProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

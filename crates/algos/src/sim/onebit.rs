@@ -197,10 +197,6 @@ impl OneBitProgram {
 }
 
 impl Program for OneBitProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

@@ -10,6 +10,8 @@
 //! the interleaving our exclusion checker found; achieving O(1) fences at
 //! O(log n) RMRs is the Attiya–Hendler–Levy PODC'13 contribution.)
 
+use std::sync::Arc;
+
 use tpa_tso::{
     Asm, Bytecode, Cmp, Label, Op, Operand, Outcome, ProcId, Program, SymMode, System, VRef, Value,
     VarId, VarSpec, VmSystem, NREGS,
@@ -88,7 +90,8 @@ impl TreeLayout {
 pub struct TournamentLock {
     n: usize,
     passages: usize,
-    layout: TreeLayout,
+    /// Shared with every program, so forking a program copies no tree.
+    layout: Arc<TreeLayout>,
 }
 
 impl TournamentLock {
@@ -97,7 +100,7 @@ impl TournamentLock {
         TournamentLock {
             n,
             passages,
-            layout: TreeLayout::new(n),
+            layout: Arc::new(TreeLayout::new(n)),
         }
     }
 }
@@ -228,7 +231,7 @@ enum State {
 #[derive(Clone, Debug)]
 struct TournamentProgram {
     me: usize,
-    layout: TreeLayout,
+    layout: Arc<TreeLayout>,
     state: State,
     passages_left: usize,
 }
@@ -244,10 +247,6 @@ impl TournamentProgram {
 }
 
 impl Program for TournamentProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

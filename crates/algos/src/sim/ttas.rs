@@ -126,10 +126,6 @@ struct TtasProgram {
 }
 
 impl Program for TtasProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

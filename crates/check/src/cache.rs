@@ -69,12 +69,26 @@ fn encode(index: u32) -> ([u8; 5], usize) {
 }
 
 impl Rank {
-    /// The rank of this node's `index`-th child, in one allocation.
-    pub fn child(&self, index: u32) -> Rank {
+    /// Overwrites `buf` with the bytes of this node's `index`-th child's
+    /// rank. A worker builds every child's rank in one reused buffer, and
+    /// [`StateCache::try_visit`] turns it into a `Rank` only for a child
+    /// it records.
+    pub fn child_into(&self, index: u32, buf: &mut Vec<u8>) {
         let (tail, len) = encode(index);
-        // A chain of slice iterators has an exact length, so `collect`
-        // allocates the `Arc` once and copies straight into it.
-        Rank(self.0.iter().chain(&tail[..len]).copied().collect())
+        buf.clear();
+        buf.extend_from_slice(&self.0);
+        buf.extend_from_slice(&tail[..len]);
+    }
+
+    /// The rank whose bytes are `bytes`, as written by
+    /// [`Rank::child_into`] or returned by [`Rank::as_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Rank {
+        Rank(Arc::from(bytes))
+    }
+
+    /// The encoded bytes, whose order is the rank order.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
     }
 
     /// The rank of the path `indices`.
@@ -110,18 +124,18 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    fn tags(&self) -> (&SleepSet, u32, &Rank) {
-        (&self.sleep, self.depth, &self.rank)
+    fn tags(&self) -> (&SleepSet, u32, &[u8]) {
+        (&self.sleep, self.depth, self.rank.as_bytes())
     }
 }
 
 /// Whether a visit at `(sleep, depth, rank)` covers one at `(other_sleep,
 /// other_depth, other_rank)`: it had at least as many directives awake,
 /// at least as much remaining depth budget and, when `ranked`, sits at a
-/// lexicographically earlier-or-equal position.
+/// lexicographically earlier-or-equal position (ranks as their bytes).
 fn covers(
-    (sleep, depth, rank): (&SleepSet, u32, &Rank),
-    (other_sleep, other_depth, other_rank): (&SleepSet, u32, &Rank),
+    (sleep, depth, rank): (&SleepSet, u32, &[u8]),
+    (other_sleep, other_depth, other_rank): (&SleepSet, u32, &[u8]),
     ranked: bool,
 ) -> bool {
     depth <= other_depth && (!ranked || rank <= other_rank) && sleep.is_subset(other_sleep)
@@ -150,17 +164,19 @@ impl StateCache {
         }
     }
 
-    /// Records a visit to `key` unless an already-recorded visit subsumes
-    /// it. Returns `None` if the visit is covered; otherwise the caller
-    /// should expand the node, and gets the number of recorded entries
-    /// the new visit evicted by subsuming them.
+    /// Records a visit to `key` at the rank whose bytes are `rank` unless
+    /// an already-recorded visit subsumes it. Returns `None` if the visit
+    /// is covered; otherwise the caller should expand the node, and gets
+    /// the number of recorded entries the new visit evicted by subsuming
+    /// them, and the recorded rank. The rank is allocated only here, for
+    /// a visit that is recorded.
     pub fn try_visit(
         &self,
         key: StateKey,
         sleep: &SleepSet,
         depth: u32,
-        rank: &Rank,
-    ) -> Option<u64> {
+        rank: &[u8],
+    ) -> Option<(u64, Rank)> {
         let mut shard = self.shards[(key.0 as usize) & self.mask]
             .lock()
             .expect("state-cache shard poisoned");
@@ -173,13 +189,14 @@ impl StateCache {
         let before = entries.len();
         entries.retain(|e| !covers(visit, e.tags(), self.ranked));
         let evicted = (before - entries.len()) as u64;
+        let rank = Rank::from_bytes(rank);
         entries.reserve_exact(1);
         entries.push(CacheEntry {
             sleep: sleep.clone(),
             depth,
             rank: rank.clone(),
         });
-        Some(evicted)
+        Some((evicted, rank))
     }
 
     /// Every live entry, grouped by state key and sorted by key — the
@@ -232,7 +249,13 @@ mod tests {
         for &p in asleep {
             sleep.insert(Directive::Issue(ProcId(p)));
         }
-        c.try_visit(StateKey(key), &sleep, depth, &Rank::from_indices(rank))
+        c.try_visit(
+            StateKey(key),
+            &sleep,
+            depth,
+            Rank::from_indices(rank).as_bytes(),
+        )
+        .map(|(evicted, _)| evicted)
     }
 
     #[test]
@@ -326,9 +349,11 @@ mod tests {
             let rank = Rank::from_indices(&path);
             assert_eq!(rank.indices().collect::<Vec<u32>>(), path);
             // Building child by child gives the same bytes.
-            let built = path
-                .iter()
-                .fold(Rank::from_indices(&[]), |r, &i| r.child(i));
+            let mut buf = Vec::new();
+            let built = path.iter().fold(Rank::from_indices(&[]), |r, &i| {
+                r.child_into(i, &mut buf);
+                Rank::from_bytes(&buf)
+            });
             assert_eq!(built, rank);
         }
     }

@@ -116,11 +116,13 @@ fn validate_symmetry(
                 continue;
             }
             let mut rng = XorShift::new(0x7379_6d00 ^ ((a as u64) << 8) ^ (b as u64) | 1);
+            // Every per-directive probe forks into this one machine.
+            let mut probe = orig.fork_for_search();
             for _ in 0..VALIDATION_STEPS {
                 let keeps_validity: Vec<_> = enabled_all(&orig)
                     .into_iter()
                     .filter(|&d| {
-                        let mut probe = orig.fork_for_search();
+                        orig.fork_for_search_into(&mut probe);
                         probe.step(d).is_ok() && probe.state_hash_permuted(perm, var_map).is_some()
                     })
                     .collect();
@@ -149,9 +151,8 @@ pub enum Execution {
     /// Run the system's compiled bytecode instead
     /// ([`tpa_tso::System::compile_vm`]); silently stays native when the
     /// system provides no compiler. Verdicts, witnesses and state counts
-    /// are unchanged (pinned by the VM differential suite) but the flat
-    /// register file forks faster, so exhaustive search explores more
-    /// states per second. [`Report::vm`] records whether it engaged.
+    /// are unchanged (pinned by the VM differential suite).
+    /// [`Report::vm`] records whether it engaged.
     Compiled,
 }
 

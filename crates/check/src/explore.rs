@@ -1,10 +1,10 @@
 //! Bounded-exhaustive schedule exploration with sleep-set pruning.
 //!
 //! The search enumerates every schedule of a [`System`] up to a step
-//! bound by depth-first search over [`Machine::fork_for_search`]
-//! snapshots, checking a battery of [`Invariant`](crate::Invariant)s
-//! after every step. Two reductions keep the search tractable without
-//! losing violations:
+//! bound by depth-first search over search forks
+//! ([`Machine::fork_for_search_into`]), checking a battery of
+//! [`Invariant`](crate::Invariant)s after every step. Two reductions
+//! keep the search tractable without losing violations:
 //!
 //! * **Sleep sets** (Godefroid): after exploring directive `d` from a
 //!   state, sibling subtrees need not re-explore interleavings that merely
@@ -114,9 +114,17 @@ pub struct FoundViolation {
 
 /// Every directive any process can execute in the current state.
 pub fn enabled_all(machine: &Machine) -> Vec<Directive> {
-    (0..machine.n())
-        .flat_map(|i| machine.enabled_directives(ProcId(i as u32)))
-        .collect()
+    let mut out = Vec::new();
+    enabled_all_into(machine, &mut out);
+    out
+}
+
+/// Overwrites `out` with [`enabled_all`]`(machine)`, reusing its storage.
+pub(crate) fn enabled_all_into(machine: &Machine, out: &mut Vec<Directive>) {
+    out.clear();
+    for i in 0..machine.n() {
+        machine.enabled_directives_into(ProcId(i as u32), out);
+    }
 }
 
 /// Replays the sibling-index path `indices` (a node's rank) from the

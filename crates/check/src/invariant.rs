@@ -48,10 +48,19 @@ pub trait Invariant: Send + Sync {
 /// two processes both having `CS` enabled — the same witness
 /// [`tpa_tso::shrink::exclusion_violated`] uses.
 pub fn cs_enabled_pids(machine: &Machine) -> Vec<ProcId> {
+    cs_enabled(machine).collect()
+}
+
+fn cs_enabled(machine: &Machine) -> impl Iterator<Item = ProcId> + '_ {
     (0..machine.n())
         .map(|i| ProcId(i as u32))
         .filter(|&p| machine.peek_next(p) == NextEvent::Transition(Op::Cs))
-        .collect()
+}
+
+/// Whether two or more processes have `CS` enabled. Counts without
+/// allocating: the message naming them is built only on a violation.
+fn cs_contended(machine: &Machine) -> bool {
+    cs_enabled(machine).nth(1).is_some()
 }
 
 /// Mutual exclusion: at most one process may have its `CS` transition
@@ -64,10 +73,12 @@ impl Invariant for MutualExclusion {
     }
 
     fn check(&self, machine: &Machine) -> Option<Violation> {
-        let in_cs = cs_enabled_pids(machine);
-        (in_cs.len() > 1).then(|| Violation {
+        cs_contended(machine).then(|| Violation {
             invariant: self.name(),
-            detail: format!("processes {in_cs:?} can all enter the critical section"),
+            detail: format!(
+                "processes {:?} can all enter the critical section",
+                cs_enabled_pids(machine)
+            ),
         })
     }
 }
@@ -124,9 +135,7 @@ impl Invariant for TerminalQuiescence {
     }
 
     fn check(&self, machine: &Machine) -> Option<Violation> {
-        let terminal =
-            (0..machine.n()).all(|i| machine.enabled_directives(ProcId(i as u32)).is_empty());
-        if !terminal {
+        if !machine.is_terminal() {
             return None;
         }
         let stuck: Vec<ProcId> = (0..machine.n())
@@ -164,14 +173,14 @@ impl Invariant for CrashSafeExclusion {
         if machine.writes_lost() == 0 {
             return None;
         }
-        let in_cs = cs_enabled_pids(machine);
-        (in_cs.len() > 1).then(|| Violation {
+        cs_contended(machine).then(|| Violation {
             invariant: self.name(),
             detail: format!(
                 "after {} crash(es) losing {} buffered store(s), \
-                 processes {in_cs:?} can all enter the critical section",
+                 processes {:?} can all enter the critical section",
                 machine.crashes_executed(),
-                machine.writes_lost()
+                machine.writes_lost(),
+                cs_enabled_pids(machine)
             ),
         })
     }
@@ -196,12 +205,7 @@ impl Invariant for RecoverableProgress {
     }
 
     fn check(&self, machine: &Machine) -> Option<Violation> {
-        if machine.crashes_executed() == 0 {
-            return None;
-        }
-        let terminal =
-            (0..machine.n()).all(|i| machine.enabled_directives(ProcId(i as u32)).is_empty());
-        if !terminal {
+        if machine.crashes_executed() == 0 || !machine.is_terminal() {
             return None;
         }
         let stuck: Vec<ProcId> = (0..machine.n())

@@ -60,7 +60,7 @@ use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
 use crate::cache::{Rank, StateCache};
 use crate::checkpoint::{CandidateData, Counters, FrontierNode};
 use crate::explore::{
-    enabled_all, panic_message, replay, ExploreConfig, FoundViolation, IncompleteReason,
+    enabled_all_into, panic_message, replay, ExploreConfig, FoundViolation, IncompleteReason,
 };
 use crate::invariant::{Invariant, Violation};
 use crate::sleep::SleepSet;
@@ -163,6 +163,24 @@ struct Node {
     sleep: SleepSet,
     depth: u32,
     rank: Rank,
+}
+
+/// A worker's reusable storage, so that a transition allocates only
+/// what the search keeps.
+#[derive(Default)]
+struct Scratch {
+    /// Machines the worker has finished with: those of children it does
+    /// not push (cache hits, children at the step bound, a violating
+    /// child) and of spent nodes. Each new child is forked into one, and
+    /// a machine is allocated only when none is left. A spent node's
+    /// machine is kept only while the spares are fewer than the nodes on
+    /// the worker's stack, so spares never much outnumber the frontier
+    /// and drain with it as a search ends, when the cache is largest.
+    spares: Vec<Machine>,
+    /// The enabled directives of the node being expanded.
+    enabled: Vec<Directive>,
+    /// The rank of the child being visited, as bytes.
+    rank: Vec<u8>,
 }
 
 /// A violation candidate, ordered by the rank of the node that exhibited
@@ -643,7 +661,7 @@ impl Engine<'_> {
                 let root_rank = Rank::from_indices(&[]);
                 let (root_key, _) = cache_coords(&root, &SleepSet::empty(), self.symmetry);
                 self.cache
-                    .try_visit(root_key, &SleepSet::empty(), 0, &root_rank);
+                    .try_visit(root_key, &SleepSet::empty(), 0, root_rank.as_bytes());
                 self.work
                     .lock()
                     .expect("work queue poisoned")
@@ -785,7 +803,7 @@ impl Engine<'_> {
                     StateKey(*key),
                     &sleep,
                     e.depth,
-                    &Rank::from_indices(&e.rank),
+                    Rank::from_indices(&e.rank).as_bytes(),
                 );
             }
         }
@@ -983,6 +1001,7 @@ impl Engine<'_> {
         local: &mut Vec<Node>,
         in_flight: &mut Option<Node>,
     ) {
+        let mut scratch = Scratch::default();
         loop {
             if self.halted() {
                 if self.capture {
@@ -1002,7 +1021,12 @@ impl Engine<'_> {
             };
             *in_flight = Some(node);
             let expanded = ws.nodes_expanded;
-            let keep = self.expand(in_flight.as_ref().expect("just parked"), local, ws);
+            let keep = self.expand(
+                in_flight.as_ref().expect("just parked"),
+                local,
+                ws,
+                &mut scratch,
+            );
             let node = in_flight.take().expect("just parked");
             if keep {
                 // Interrupted mid-expansion: the node goes back on the
@@ -1010,6 +1034,8 @@ impl Engine<'_> {
                 // already visited sit in the cache at their own ranks and
                 // suppress themselves.
                 local.push(node);
+            } else if scratch.spares.len() < local.len() {
+                scratch.spares.push(node.machine);
             }
             ws.max_frontier = ws.max_frontier.max(local.len() as u32);
             if ws.nodes_expanded != expanded && ws.nodes_expanded.is_multiple_of(SNAPSHOT_EVERY) {
@@ -1098,7 +1124,15 @@ impl Engine<'_> {
     /// node must therefore stay on the frontier; `false` when the node
     /// is spent (fully expanded, pruned as non-viable, or retired by
     /// offering a violation candidate that later siblings cannot beat).
-    fn expand(&self, node: &Node, local: &mut Vec<Node>, ws: &mut WorkerStats) -> bool {
+    /// Children are forked into `scratch`'s spares, and the machine of
+    /// every child not pushed goes back there.
+    fn expand(
+        &self,
+        node: &Node,
+        local: &mut Vec<Node>,
+        ws: &mut WorkerStats,
+        scratch: &mut Scratch,
+    ) -> bool {
         if !self.still_viable(&node.rank) {
             return false;
         }
@@ -1129,7 +1163,13 @@ impl Engine<'_> {
         // visited in the cache; that pairing is what keeps resumed
         // searches sound.
         let start = local.len();
-        for (i, d) in enabled_all(&node.machine).into_iter().enumerate() {
+        let Scratch {
+            spares,
+            enabled,
+            rank,
+        } = scratch;
+        enabled_all_into(&node.machine, enabled);
+        for (i, &d) in enabled.iter().enumerate() {
             if node.sleep.contains(d) {
                 ws.sleep_prunes += 1;
                 continue;
@@ -1140,15 +1180,22 @@ impl Engine<'_> {
                 return true;
             }
             ws.transitions += 1;
-            let mut child = node.machine.fork_for_search();
+            let mut child = match spares.pop() {
+                Some(mut spare) => {
+                    node.machine.fork_for_search_into(&mut spare);
+                    spare
+                }
+                None => node.machine.fork_for_search(),
+            };
             child
                 .step(d)
                 .unwrap_or_else(|e| panic!("explorer: enabled directive {d:?} failed: {e:?}"));
 
-            let child_rank = node.rank.child(i as u32);
+            node.rank.child_into(i as u32, rank);
             if let Some(violation) = self.invariants.iter().find_map(|inv| inv.check(&child)) {
+                spares.push(child);
                 self.offer(Candidate {
-                    rank: child_rank,
+                    rank: Rank::from_bytes(rank),
                     violation,
                 });
                 // Later siblings and their subtrees all have greater
@@ -1174,17 +1221,19 @@ impl Engine<'_> {
             // canonicalisation applied a non-identity permutation.
             ws.sym_renamed += renamed_sleep.is_some() as u64;
             let cache_sleep = renamed_sleep.as_ref().unwrap_or(&child_sleep);
-            let Some(evicted) =
+            let Some((evicted, child_rank)) =
                 self.cache
-                    .try_visit(child_key, cache_sleep, child_depth, &child_rank)
+                    .try_visit(child_key, cache_sleep, child_depth, rank)
             else {
                 ws.cache_hits += 1;
+                spares.push(child);
                 continue;
             };
             ws.cache_misses += 1;
             ws.cache_subsumed += evicted;
             if child_depth as usize >= self.config.max_steps {
                 ws.truncated_paths += 1;
+                spares.push(child);
                 continue;
             }
             local.push(Node {

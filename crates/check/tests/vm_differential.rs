@@ -8,7 +8,7 @@
 //! search, and — with `StateKeys::Canonical` — the canonical-state count are
 //! all pinned against the native run here, over the whole lock portfolio,
 //! under both memory models, at several thread counts. Only wall-clock
-//! time is allowed to differ (the VM's flat register file forks faster).
+//! time is allowed to differ.
 
 use tpa_algos::sim::bakery::BakeryLock;
 use tpa_check::invariant::{CrashSafeExclusion, Invariant, Violation};

@@ -468,10 +468,6 @@ mod tests {
     }
 
     impl Program for TProg {
-        fn fork(&self) -> Box<dyn Program> {
-            Box::new(self.clone())
-        }
-
         fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
             use std::hash::Hash;
             self.state.hash(&mut h);

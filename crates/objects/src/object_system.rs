@@ -148,10 +148,6 @@ struct ObjectProgram {
 }
 
 impl Program for ObjectProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.next_call.hash(&mut h);

@@ -212,10 +212,6 @@ impl OneTimeProgram {
 }
 
 impl Program for OneTimeProgram {
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.tag().hash(&mut h);

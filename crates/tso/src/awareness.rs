@@ -19,9 +19,26 @@ use std::sync::Arc;
 use crate::ids::ProcId;
 
 /// A copy-on-write awareness set.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub struct AwSet {
     inner: Arc<BTreeSet<ProcId>>,
+}
+
+impl Clone for AwSet {
+    fn clone(&self) -> Self {
+        AwSet {
+            inner: Arc::clone(&self.inner),
+        }
+    }
+
+    /// Leaves the reference count alone when `self` already shares
+    /// `src`'s set, which is the common case when a recycled search
+    /// machine is overwritten: search forks never grow awareness.
+    fn clone_from(&mut self, src: &Self) {
+        if !Arc::ptr_eq(&self.inner, &src.inner) {
+            self.inner = Arc::clone(&src.inner);
+        }
+    }
 }
 
 impl AwSet {

@@ -11,7 +11,7 @@ use crate::awareness::AwSet;
 use crate::ids::{Value, VarId};
 
 /// A pending (issued but uncommitted) write.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PendingWrite {
     /// Variable written.
     pub var: VarId,
@@ -24,10 +24,46 @@ pub struct PendingWrite {
     pub aw_snapshot: AwSet,
 }
 
+impl Clone for PendingWrite {
+    fn clone(&self) -> Self {
+        PendingWrite {
+            var: self.var,
+            value: self.value,
+            aw_snapshot: self.aw_snapshot.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.var = src.var;
+        self.value = src.value;
+        self.aw_snapshot.clone_from(&src.aw_snapshot);
+    }
+}
+
 /// A TSO write buffer: FIFO over variables, coalescing per variable.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct WriteBuffer {
     entries: VecDeque<PendingWrite>,
+}
+
+impl Clone for WriteBuffer {
+    fn clone(&self) -> Self {
+        WriteBuffer {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Overwrites `self` in place, keeping its allocation and overwriting
+    /// entries one by one (`VecDeque::clone_from` drops and re-clones
+    /// every entry).
+    fn clone_from(&mut self, src: &Self) {
+        self.entries.truncate(src.entries.len());
+        let kept = self.entries.len();
+        for (dst, w) in self.entries.iter_mut().zip(&src.entries) {
+            dst.clone_from(w);
+        }
+        self.entries.extend(src.entries.range(kept..).cloned());
+    }
 }
 
 impl WriteBuffer {

@@ -101,6 +101,6 @@ pub use machine::{
 pub use metrics::{Counters, Histogram, Metrics, PassageStats, ProcMetrics, SpanKind};
 pub use op::{Op, Outcome};
 pub use perm::{Permutation, SymmetryGroup};
-pub use program::{Program, System};
+pub use program::{ForkProgram, Program, System};
 pub use vars::{PidEncoding, VarSpec, VarSpecBuilder};
 pub use vm::{VmProgram, VmSystem};

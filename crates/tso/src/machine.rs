@@ -13,9 +13,11 @@
 //! lower bound is stated in: RMR counters for DSM / CC-write-through /
 //! CC-write-back, critical events, awareness sets, per-variable
 //! `writer(v, E)` and `Accessed(v, E)`, and per-passage statistics. A
-//! [`Machine::fork_for_search`] copy carries only what the schedule
-//! explorer reads — the state [`Machine::state_hash`] covers, the last
-//! event, and the crash counters — and its accounting accessors
+//! [`Machine::fork_for_search`] copy (or the same copy written into a
+//! machine the caller is done with, by [`Machine::fork_for_search_into`])
+//! carries only what the schedule explorer reads — the state
+//! [`Machine::state_hash`] covers, the last event, and the crash
+//! counters — and its accounting accessors
 //! ([`Machine::metrics`], [`Machine::accessed`], [`Machine::awareness`],
 //! [`Machine::fences_completed`], [`Machine::criticals`]) panic.
 
@@ -262,10 +264,9 @@ impl NextEvent {
 
 /// The program half of a process entry. Native programs live behind the
 /// usual trait object; compiled [`VmProgram`]s (see
-/// [`System::vm_program`]) are stored *inline*, so forking copies a flat
-/// register file with no allocation and the peek/apply/hash hot path is
-/// monomorphic — this is where the VM's throughput gain over trait-object
-/// dispatch comes from.
+/// [`System::vm_program`]) are stored *inline*, so their peek/apply/hash
+/// calls are monomorphic. Both kinds fork in place into a recycled
+/// entry of the same kind (`clone_from`).
 enum ProcProgram {
     /// A hand-written program behind a trait object.
     Native(Box<dyn Program>),
@@ -299,14 +300,6 @@ impl ProcProgram {
     }
 
     #[inline]
-    fn fork(&self) -> ProcProgram {
-        match self {
-            ProcProgram::Native(p) => ProcProgram::Native(p.fork()),
-            ProcProgram::Vm(v) => ProcProgram::Vm(v.clone()),
-        }
-    }
-
-    #[inline]
     fn state_hash(&self, h: &mut FxHasher) {
         match self {
             ProcProgram::Native(p) => p.state_hash(h),
@@ -326,6 +319,25 @@ impl ProcProgram {
         match self {
             ProcProgram::Native(p) => &**p,
             ProcProgram::Vm(v) => v,
+        }
+    }
+}
+
+impl Clone for ProcProgram {
+    fn clone(&self) -> Self {
+        match self {
+            ProcProgram::Native(p) => ProcProgram::Native(p.fork()),
+            ProcProgram::Vm(v) => ProcProgram::Vm(v.clone()),
+        }
+    }
+
+    /// Forks `src` into `self`'s box or register file when both hold the
+    /// same kind of program ([`crate::ForkProgram::fork_into`]).
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (ProcProgram::Native(dst), ProcProgram::Native(p)) => p.fork_into(dst),
+            (ProcProgram::Vm(dst), ProcProgram::Vm(v)) => dst.clone_from(v),
+            (dst, src) => *dst = src.clone(),
         }
     }
 }
@@ -351,10 +363,10 @@ struct ProcEntry {
     erased: bool,
 }
 
-impl ProcEntry {
-    fn fork(&self) -> ProcEntry {
+impl Clone for ProcEntry {
+    fn clone(&self) -> Self {
         ProcEntry {
-            program: self.program.fork(),
+            program: self.program.clone(),
             buffer: self.buffer.clone(),
             in_fence: self.in_fence,
             section: self.section,
@@ -364,6 +376,20 @@ impl ProcEntry {
             crash: self.crash,
             erased: self.erased,
         }
+    }
+
+    /// Copies in place, reusing `self`'s program box, buffer and
+    /// remote-read list.
+    fn clone_from(&mut self, src: &Self) {
+        self.program.clone_from(&src.program);
+        self.buffer.clone_from(&src.buffer);
+        self.in_fence = src.in_fence;
+        self.section = src.section;
+        self.aw.clone_from(&src.aw);
+        self.remote_reads.clone_from(&src.remote_reads);
+        self.passages_completed = src.passages_completed;
+        self.crash = src.crash;
+        self.erased = src.erased;
     }
 }
 
@@ -376,6 +402,10 @@ fn remote_reads_insert(reads: &mut Vec<VarId>, v: VarId) {
         reads.insert(i, v);
     }
 }
+
+/// How many renamed remote reads [`Machine::canonical_state_key`] sorts on
+/// the stack; a process with more spills to the heap.
+const REMOTE_READS_INLINE: usize = 32;
 
 /// The 64-bit behavioural-state fingerprint of a [`Machine`], as
 /// maintained incrementally by [`Machine::step`] (see
@@ -527,10 +557,10 @@ impl Machine {
     /// Instantiates a machine with an explicit store-ordering model.
     pub fn with_model<S: System + ?Sized>(system: &S, model: MemoryModel) -> Self {
         let n = system.n();
-        let spec = system.vars();
-        let vars = VarTable::new(&spec);
-        let accounting = Accounting::new(n, spec.count());
-        let procs = (0..n)
+        let mut machine = Machine::blank(model, Arc::new(system.vars()));
+        machine.vars = VarTable::new(&machine.spec);
+        machine.accounting = Some(Accounting::new(n, machine.spec.count()));
+        machine.procs = (0..n)
             .map(|i| {
                 let pid = ProcId(i as u32);
                 let program = match system.vm_program(pid) {
@@ -550,14 +580,22 @@ impl Machine {
                 }
             })
             .collect();
-        let mut machine = Machine {
+        machine.rebuild_state_hash();
+        machine
+    }
+
+    /// A machine with no variables, processes, history or accounting:
+    /// the shell that [`Machine::with_model`] fills in and that
+    /// [`Machine::fork_for_search`] forks into.
+    fn blank(model: MemoryModel, spec: Arc<VarSpec>) -> Self {
+        Machine {
             model,
-            spec: Arc::new(spec),
-            vars,
-            procs,
+            spec,
+            vars: VarTable::default(),
+            procs: Vec::new(),
             log: Vec::new(),
             schedule: Vec::new(),
-            accounting: Some(accounting),
+            accounting: None,
             var_hash: Vec::new(),
             proc_hash: Vec::new(),
             hash: 0,
@@ -565,9 +603,7 @@ impl Machine {
             crashes_executed: 0,
             writes_lost: 0,
             probe: None,
-        };
-        machine.rebuild_state_hash();
-        machine
+        }
     }
 
     /// Attaches a telemetry probe: every subsequent [`Machine::step`]
@@ -1380,13 +1416,13 @@ impl Machine {
 
     /// Snapshots the machine: a behaviourally identical copy sharing
     /// nothing with `self`, with all of its bookkeeping. (The schedule
-    /// explorer branches with [`Machine::fork_for_search`] instead.)
+    /// explorer branches with [`Machine::fork_for_search_into`] instead.)
     pub fn fork(&self) -> Machine {
         Machine {
             model: self.model,
             spec: self.spec.clone(),
             vars: self.vars.clone(),
-            procs: self.procs.iter().map(ProcEntry::fork).collect(),
+            procs: self.procs.clone(),
             log: self.log.clone(),
             schedule: self.schedule.clone(),
             accounting: self.accounting.clone(),
@@ -1418,23 +1454,44 @@ impl Machine {
     /// [`Machine::criticals`] panic on it. A fork of a search fork is
     /// again a search fork. This turns forking from O(executed events)
     /// into O(state size), with no per-variable sets to copy.
+    ///
+    /// This allocates a new machine; the explorer's workers recycle
+    /// machines they have finished with through
+    /// [`Machine::fork_for_search_into`] instead.
     pub fn fork_for_search(&self) -> Machine {
-        Machine {
-            model: self.model,
-            spec: self.spec.clone(),
-            vars: self.vars.clone_for_search(),
-            procs: self.procs.iter().map(ProcEntry::fork).collect(),
-            log: self.log.last().map(|e| vec![*e]).unwrap_or_default(),
-            schedule: Vec::new(),
-            accounting: None,
-            var_hash: self.var_hash.clone(),
-            proc_hash: self.proc_hash.clone(),
-            hash: self.hash,
-            crash_budget: self.crash_budget,
-            crashes_executed: self.crashes_executed,
-            writes_lost: self.writes_lost,
-            probe: None,
+        let mut fork = Machine::blank(self.model, Arc::clone(&self.spec));
+        self.fork_for_search_into(&mut fork);
+        fork
+    }
+
+    /// Overwrites `dst` with exactly what [`Machine::fork_for_search`]
+    /// returns, reusing `dst`'s storage: its variable, process and hash
+    /// tables, write buffers, remote-read lists and — when the program
+    /// types match — native program boxes. A shared `Arc` (the variable
+    /// spec, compiled code, awareness sets) is re-cloned only where `dst`'s
+    /// points elsewhere. `dst` may be any machine: a search fork of
+    /// another state, a full machine, or a machine of another system.
+    /// Forking into a search fork of the same system allocates only when
+    /// the copy needs more room than `dst` had, or where a program's own
+    /// `clone_from` allocates.
+    pub fn fork_for_search_into(&self, dst: &mut Machine) {
+        dst.model = self.model;
+        if !Arc::ptr_eq(&dst.spec, &self.spec) {
+            dst.spec = Arc::clone(&self.spec);
         }
+        self.vars.fork_for_search_into(&mut dst.vars);
+        dst.procs.clone_from(&self.procs);
+        dst.log.clear();
+        dst.log.extend(self.log.last().copied());
+        dst.schedule.clear();
+        dst.accounting = None;
+        dst.var_hash.clone_from(&self.var_hash);
+        dst.proc_hash.clone_from(&self.proc_hash);
+        dst.hash = self.hash;
+        dst.crash_budget = self.crash_budget;
+        dst.crashes_executed = self.crashes_executed;
+        dst.writes_lost = self.writes_lost;
+        dst.probe = None;
     }
 
     /// The machine's *behavioural*-state fingerprint: everything that can
@@ -1592,11 +1649,20 @@ impl Machine {
             VarId(var_map[w.var.index()]).hash(&mut h);
             self.map_value(w.var, w.value, perm)?.hash(&mut h);
         }
-        let mut remote: Vec<VarId> = entry
-            .remote_reads
-            .iter()
-            .map(|v| VarId(var_map[v.index()]))
-            .collect();
+        // Rename and re-sort the remote reads on the stack; hashing the
+        // slice feeds the same bytes as hashing a `Vec`.
+        let mut inline = [VarId(0); REMOTE_READS_INLINE];
+        let mut spilled = Vec::new();
+        let remote = match inline.get_mut(..entry.remote_reads.len()) {
+            Some(slots) => slots,
+            None => {
+                spilled.resize(entry.remote_reads.len(), VarId(0));
+                &mut spilled[..]
+            }
+        };
+        for (slot, v) in remote.iter_mut().zip(&entry.remote_reads) {
+            *slot = VarId(var_map[v.index()]);
+        }
         remote.sort_unstable();
         remote.hash(&mut h);
         if !entry.program.state_hash_permuted(perm, &mut h) {
@@ -1682,20 +1748,30 @@ impl Machine {
     ///   to `Commit` — so it is never offered; under PSO it is offered for
     ///   each *non-oldest* pending variable.
     pub fn enabled_directives(&self, p: ProcId) -> Vec<Directive> {
+        let mut out = Vec::new();
+        self.enabled_directives_into(p, &mut out);
+        out
+    }
+
+    /// Appends [`Machine::enabled_directives`]`(p)` to `out`, so a caller
+    /// that gathers every process' moves can reuse one buffer.
+    pub fn enabled_directives_into(&self, p: ProcId, out: &mut Vec<Directive>) {
         let entry = &self.procs[p.index()];
         if entry.erased {
-            return Vec::new();
+            return;
         }
         match entry.crash {
             // Crash-stopped: nothing, ever.
-            CrashState::Stopped => return Vec::new(),
+            CrashState::Stopped => return,
             // Down: the only move is the recovery event. Its buffer is
             // empty (the crash discarded it), so no crash is offered
             // either — crashing an empty-buffered process loses nothing.
-            CrashState::Down => return vec![Directive::Issue(p)],
+            CrashState::Down => {
+                out.push(Directive::Issue(p));
+                return;
+            }
             CrashState::Running => {}
         }
-        let mut out = Vec::new();
         let halted = !entry.in_fence && matches!(entry.program.peek(), Op::Halt);
         if !halted {
             out.push(Directive::Issue(p));
@@ -1718,7 +1794,29 @@ impl Machine {
         if self.crash_budget > 0 && !entry.buffer.is_empty() {
             out.push(Directive::Crash(p));
         }
-        out
+    }
+
+    /// Whether no process has an enabled directive, i.e. every
+    /// [`Machine::enabled_directives`] is empty. Allocates nothing, for
+    /// the invariants that ask it after every step.
+    ///
+    /// A running process has a move exactly when it has not halted or
+    /// still buffers a write: an unhalted one can issue, and a halted one
+    /// (never mid-fence) can commit. Erased and crash-stopped processes
+    /// have none; a process that is down can recover.
+    pub fn is_terminal(&self) -> bool {
+        self.procs.iter().all(|entry| {
+            entry.erased
+                || match entry.crash {
+                    CrashState::Stopped => true,
+                    CrashState::Down => false,
+                    CrashState::Running => {
+                        entry.buffer.is_empty()
+                            && !entry.in_fence
+                            && matches!(entry.program.peek(), Op::Halt)
+                    }
+                }
+        })
     }
 
     /// The shared-memory footprint `d` would have if executed now.

@@ -7,6 +7,8 @@
 //! freshly spawned programs (see [`mod@crate::erase`]), which is only meaningful
 //! if a program's behaviour is a function of the outcomes it has received.
 
+use std::any::Any;
+
 use crate::ids::{ProcId, Value};
 use crate::op::{Op, Outcome};
 use crate::perm::Permutation;
@@ -29,8 +31,9 @@ use crate::vm::{VmProgram, VmSystem};
 /// `Send` is a supertrait so a whole [`crate::Machine`] (which owns
 /// `Box<dyn Program>`s) can move between the parallel explorer's worker
 /// threads; programs are plain data, so this costs implementations
-/// nothing.
-pub trait Program: Send {
+/// nothing. [`ForkProgram`] is a supertrait too, and every `Clone +
+/// 'static` program has it, so implementations write no forking code.
+pub trait Program: Send + ForkProgram {
     /// The next operation this process wants to perform.
     fn peek(&self) -> Op;
 
@@ -59,12 +62,6 @@ pub trait Program: Send {
         false
     }
 
-    /// Snapshots the program: returns a behaviourally identical copy in
-    /// the same state. Required by the schedule explorer
-    /// (`tpa-check`), which branches the whole machine at every choice
-    /// point.
-    fn fork(&self) -> Box<dyn Program>;
-
     /// Feeds every behaviourally relevant piece of local state into `h`.
     ///
     /// Two programs that hash equally must behave identically on every
@@ -91,6 +88,36 @@ pub trait Program: Send {
     fn state_hash_permuted(&self, perm: &Permutation, h: &mut dyn std::hash::Hasher) -> bool {
         let _ = (perm, h);
         false
+    }
+}
+
+/// Snapshots of a [`Program`], which the schedule explorer (`tpa-check`)
+/// takes of the whole machine at every choice point.
+///
+/// It is implemented once, for every `Program + Clone + 'static`: a
+/// program is forked by cloning it.
+pub trait ForkProgram: Any {
+    /// A behaviourally identical copy in the same state.
+    fn fork(&self) -> Box<dyn Program>;
+
+    /// Overwrites `dst` with a fork of `self`. When `dst` already holds a
+    /// program of `self`'s type, `self` is cloned into it with
+    /// [`Clone::clone_from`] and the box is kept; otherwise the box is
+    /// replaced.
+    fn fork_into(&self, dst: &mut Box<dyn Program>);
+}
+
+impl<P: Program + Clone + 'static> ForkProgram for P {
+    fn fork(&self) -> Box<dyn Program> {
+        Box::new(self.clone())
+    }
+
+    fn fork_into(&self, dst: &mut Box<dyn Program>) {
+        let slot: &mut dyn Any = &mut **dst;
+        match slot.downcast_mut::<P>() {
+            Some(same) => same.clone_from(self),
+            None => *dst = self.fork(),
+        }
     }
 }
 
@@ -201,7 +228,61 @@ impl<S: System + ?Sized> System for Box<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::VarId;
     use crate::scripted::{Instr, ScriptSystem};
+
+    /// A program that counts the reads it has done.
+    #[derive(Clone)]
+    struct Reads(u64);
+
+    impl Program for Reads {
+        fn peek(&self) -> Op {
+            Op::Read(VarId(0))
+        }
+        fn apply(&mut self, _outcome: Outcome) {
+            self.0 += 1;
+        }
+        fn register(&self, _index: usize) -> Option<Value> {
+            Some(self.0)
+        }
+        fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
+            std::hash::Hash::hash(&self.0, &mut h);
+        }
+    }
+
+    /// A program that has halted, with a payload so its box allocates.
+    #[derive(Clone)]
+    struct Done(u64);
+
+    impl Program for Done {
+        fn peek(&self) -> Op {
+            Op::Halt
+        }
+        fn apply(&mut self, _outcome: Outcome) {}
+        fn register(&self, _index: usize) -> Option<Value> {
+            Some(self.0)
+        }
+        fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
+            std::hash::Hash::hash(&self.0, &mut h);
+        }
+    }
+
+    #[test]
+    fn fork_into_keeps_the_box_only_when_the_types_match() {
+        let address = |p: &dyn Program| p as *const dyn Program as *const u8;
+        let mut src = Reads(0);
+        src.apply(Outcome::ReadValue(1));
+        src.apply(Outcome::ReadValue(1));
+        let mut dst: Box<dyn Program> = Box::new(Reads(7));
+        let before = address(&*dst);
+        src.fork_into(&mut dst);
+        assert_eq!(address(&*dst), before, "same type: the box is kept");
+        assert_eq!((dst.peek(), dst.register(0)), (Op::Read(VarId(0)), Some(2)));
+
+        Done(5).fork_into(&mut dst);
+        assert_ne!(address(&*dst), before, "another type: the box is replaced");
+        assert_eq!((dst.peek(), dst.register(0)), (Op::Halt, Some(5)));
+    }
 
     #[test]
     fn system_is_usable_through_references_and_boxes() {

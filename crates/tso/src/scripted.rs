@@ -293,10 +293,6 @@ impl Program for ScriptProgram {
         self.regs.get(index).copied()
     }
 
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         // The code is immutable and shared; pc + registers + the halt flag

@@ -166,7 +166,7 @@ impl VarSpecBuilder {
 }
 
 /// Runtime state of one shared variable.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct VarState {
     /// Current committed value.
     pub value: Value,
@@ -177,15 +177,35 @@ pub(crate) struct VarState {
     pub writer_aw: AwSet,
     /// Initial value (for erasure reverts).
     pub initial: Value,
-    /// Full commit history `(writer, value, issue-time awareness)` — what
-    /// in-place erasure rewinds through.
-    pub history: Vec<(ProcId, Value, AwSet)>,
+}
+
+impl Clone for VarState {
+    fn clone(&self) -> Self {
+        VarState {
+            value: self.value,
+            writer: self.writer,
+            writer_aw: self.writer_aw.clone(),
+            initial: self.initial,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.value = src.value;
+        self.writer = src.writer;
+        self.writer_aw.clone_from(&src.writer_aw);
+        self.initial = src.initial;
+    }
 }
 
 /// The committed shared memory: values plus `writer(v, E)` metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct VarTable {
     states: Vec<VarState>,
+    /// Per-variable commit history `(writer, value, issue-time
+    /// awareness)` — what in-place erasure rewinds through. Empty (no
+    /// entry per variable) on a search fork, whose commits pass
+    /// `record = false`.
+    history: Vec<Vec<(ProcId, Value, AwSet)>>,
 }
 
 impl VarTable {
@@ -198,11 +218,13 @@ impl VarTable {
                     writer: None,
                     writer_aw: AwSet::empty(),
                     initial,
-                    history: Vec::new(),
                 }
             })
             .collect();
-        VarTable { states }
+        VarTable {
+            states,
+            history: vec![Vec::new(); spec.count()],
+        }
     }
 
     pub fn get(&self, v: VarId) -> &VarState {
@@ -220,24 +242,25 @@ impl VarTable {
         writer_aw: AwSet,
         record: bool,
     ) {
+        if record {
+            self.history[v.index()].push((writer, value, writer_aw.clone()));
+        }
         let s = &mut self.states[v.index()];
         s.value = value;
         s.writer = Some(writer);
-        if record {
-            s.history.push((writer, value, writer_aw.clone()));
-        }
         s.writer_aw = writer_aw;
     }
 
     /// Removes every commit by a process in `erased` from `v`'s history and
     /// restores the latest surviving commit (or the initial value).
     pub fn revert_erased(&mut self, v: VarId, erased: &std::collections::BTreeSet<ProcId>) {
-        let s = &mut self.states[v.index()];
-        if !s.history.iter().any(|(p, _, _)| erased.contains(p)) {
+        let history = &mut self.history[v.index()];
+        if !history.iter().any(|(p, _, _)| erased.contains(p)) {
             return;
         }
-        s.history.retain(|(p, _, _)| !erased.contains(p));
-        match s.history.last() {
+        history.retain(|(p, _, _)| !erased.contains(p));
+        let s = &mut self.states[v.index()];
+        match history.last() {
             Some((p, value, aw)) => {
                 s.value = *value;
                 s.writer = Some(*p);
@@ -255,24 +278,13 @@ impl VarTable {
         self.states.len()
     }
 
-    /// A history-free copy for [`Machine::fork_for_search`]: the commit
-    /// history exists only to serve in-place erasure, which search forks
-    /// forbid, so dropping it makes forking O(vars) instead of O(commits)
-    /// (and the fork's own commits pass `record = false`).
-    pub fn clone_for_search(&self) -> Self {
-        VarTable {
-            states: self
-                .states
-                .iter()
-                .map(|s| VarState {
-                    value: s.value,
-                    writer: s.writer,
-                    writer_aw: s.writer_aw.clone(),
-                    initial: s.initial,
-                    history: Vec::new(),
-                })
-                .collect(),
-        }
+    /// Overwrites `dst` with a history-free copy of `self`, for
+    /// [`crate::Machine::fork_for_search_into`]: the commit history exists
+    /// only to serve in-place erasure, which search forks forbid, so the
+    /// copy is O(vars) instead of O(commits). `dst`'s vectors are reused.
+    pub fn fork_for_search_into(&self, dst: &mut VarTable) {
+        dst.states.clone_from(&self.states);
+        dst.history.clear();
     }
 }
 
@@ -338,12 +350,12 @@ mod tests {
         assert_eq!(s.value, 5);
         assert_eq!(s.writer, Some(ProcId(1)));
         assert!(s.writer_aw.contains(ProcId(1)));
-        assert_eq!(s.history.len(), 1);
+        assert_eq!(t.history[0].len(), 1);
         t.commit(VarId(0), 6, ProcId(0), AwSet::singleton(ProcId(0)), false);
         let s = t.get(VarId(0));
         assert_eq!((s.value, s.writer), (6, Some(ProcId(0))));
         assert_eq!(
-            s.history.len(),
+            t.history[0].len(),
             1,
             "an unrecorded commit leaves the history"
         );

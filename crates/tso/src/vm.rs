@@ -31,12 +31,34 @@ use crate::program::{Program, System};
 use crate::vars::VarSpec;
 
 /// A program interpreting compiled [`Bytecode`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VmProgram {
     code: Arc<Bytecode>,
     pc: u16,
     regs: [Value; NREGS],
     halted: bool,
+}
+
+impl Clone for VmProgram {
+    fn clone(&self) -> Self {
+        VmProgram {
+            code: Arc::clone(&self.code),
+            pc: self.pc,
+            regs: self.regs,
+            halted: self.halted,
+        }
+    }
+
+    /// Touches the code's reference count only when `self` runs other
+    /// code than `src`.
+    fn clone_from(&mut self, src: &Self) {
+        if !Arc::ptr_eq(&self.code, &src.code) {
+            self.code = Arc::clone(&src.code);
+        }
+        self.pc = src.pc;
+        self.regs = src.regs;
+        self.halted = src.halted;
+    }
 }
 
 impl VmProgram {
@@ -308,10 +330,6 @@ impl Program for VmProgram {
         self.do_recover()
     }
 
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         self.hash_state(&mut h);
     }
@@ -573,7 +591,7 @@ mod tests {
     fn fork_preserves_state_and_diverges_after() {
         let mut p = VmProgram::new(Arc::new(spin_until_one()));
         p.apply_outcome(Outcome::ReadValue(0));
-        let f = Program::fork(&p);
+        let f = crate::program::ForkProgram::fork(&p);
         let mut hp = crate::fxhash::FxHasher::with_seed(1);
         let mut hf = crate::fxhash::FxHasher::with_seed(1);
         p.hash_state(&mut hp);

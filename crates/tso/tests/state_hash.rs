@@ -130,6 +130,208 @@ fn search_forks_step_identically_to_full_forks() {
     }
 }
 
+/// Every lock of the portfolio, plus the recoverable bakery (so that
+/// crash budget 1 also reaches processes that are down and recover), at
+/// `n` processes, each native and compiled.
+fn lock_systems(n: usize) -> Vec<(String, Box<dyn System>)> {
+    let mut locks = tpa_algos::all_locks(n, 1);
+    locks.push(Box::new(tpa_algos::sim::bakery::BakeryLock::recoverable(
+        n, 1,
+    )));
+    let mut out: Vec<(String, Box<dyn System>)> = Vec::new();
+    for lock in locks {
+        let vm = lock.compile_vm().expect("every lock compiles");
+        let name = lock.name().to_owned();
+        out.push((format!("{name} (native)"), lock));
+        out.push((format!("{name} (compiled)"), Box::new(vm)));
+    }
+    out
+}
+
+/// The states of a seeded random walk of at most `steps` steps from the
+/// initial state of `sys` under `model` with crash budget `crashes`, the
+/// initial state first. The walk stops early at a terminal state.
+fn walk(
+    sys: &dyn System,
+    model: MemoryModel,
+    crashes: u32,
+    seed: u64,
+    steps: usize,
+) -> Vec<Machine> {
+    let mut m = Machine::with_model(sys, model);
+    m.set_crash_budget(crashes);
+    let mut rng = XorShift::new(seed);
+    let mut states = vec![m.fork()];
+    for _ in 0..steps {
+        let enabled = enabled_all(&m);
+        if enabled.is_empty() {
+            break;
+        }
+        m.step(enabled[rng.below(enabled.len())])
+            .expect("enabled directive must step");
+        states.push(m.fork());
+    }
+    states
+}
+
+/// Buffered writes plus remote reads over all processes: how much
+/// per-process state a machine holds that a fork into it must clear.
+fn clutter(m: &Machine) -> usize {
+    let vars = m.spec().count();
+    (0..m.n())
+        .map(|p| {
+            let p = ProcId(p as u32);
+            m.buffer_len(p)
+                + (0..vars)
+                    .filter(|&v| m.has_remote_read(p, VarId(v as u32)))
+                    .count()
+        })
+        .sum()
+}
+
+/// Asserts that `got` is the search fork `want` is: same hash, same
+/// recomputed hash, same moves, same last event and same crash counters.
+fn assert_same_search_fork(want: &Machine, got: &Machine, ctx: &str) {
+    assert_eq!(got.state_hash(), want.state_hash(), "{ctx}: state hash");
+    assert_eq!(
+        got.recompute_state_hash(),
+        want.recompute_state_hash(),
+        "{ctx}: recomputed state hash"
+    );
+    assert_eq!(enabled_all(got), enabled_all(want), "{ctx}: enabled");
+    assert_eq!(got.log().last(), want.log().last(), "{ctx}: last event");
+    assert_eq!(
+        (
+            got.crash_budget(),
+            got.crashes_executed(),
+            got.writes_lost()
+        ),
+        (
+            want.crash_budget(),
+            want.crashes_executed(),
+            want.writes_lost()
+        ),
+        "{ctx}: crash counters"
+    );
+}
+
+/// `fork_for_search_into` yields exactly what `fork_for_search` returns,
+/// whatever the destination held before: a search machine of another
+/// state with more buffered writes and remote reads, a full machine, or
+/// a machine of another system (more processes and variables, other
+/// program types, native where the source is compiled and vice versa).
+/// Every state of a random walk on every lock, native and compiled,
+/// under TSO and PSO with crash budgets 0 and 1, is forked into each
+/// kind of destination; the results must agree with a fresh search fork
+/// on the hash, its recomputation, the enabled directives, the last
+/// event, the crash counters, and the event and successor hash of every
+/// enabled directive.
+#[test]
+fn recycled_search_forks_equal_fresh_ones() {
+    let others = lock_systems(3);
+    for (i, (name, sys)) in lock_systems(2).iter().enumerate() {
+        // A system of another size, in the other execution mode.
+        let (other_name, other) = &others[(i + 3) % others.len()];
+        for model in [MemoryModel::Tso, MemoryModel::Pso] {
+            for crashes in [0, 1] {
+                let ctx = format!("{name}, {model:?}, crash budget {crashes}");
+                let far = walk(sys.as_ref(), model, crashes, 0xfa2, 40)
+                    .into_iter()
+                    .max_by_key(clutter)
+                    .expect("a walk has its initial state");
+                assert!(clutter(&far) > 0, "{ctx}: no dirty destination");
+                let foreign = walk(other.as_ref(), model, crashes, 0xf0e, 40)
+                    .pop()
+                    .expect("a walk has its initial state");
+                let dirty: [(String, Box<dyn Fn() -> Machine>); 3] = [
+                    ("another state".into(), Box::new(|| far.fork_for_search())),
+                    ("a full machine".into(), Box::new(|| far.fork())),
+                    (
+                        format!("a machine of {other_name}"),
+                        Box::new(|| foreign.fork_for_search()),
+                    ),
+                ];
+                for (step, state) in walk(sys.as_ref(), model, crashes, 0x5eed, 60)
+                    .iter()
+                    .enumerate()
+                {
+                    let want = state.fork_for_search();
+                    for (kind, make) in &dirty {
+                        let ctx = format!("{ctx}, step {step}, forked into {kind}");
+                        let mut got = make();
+                        state.fork_for_search_into(&mut got);
+                        assert_same_search_fork(&want, &got, &ctx);
+                        for d in enabled_all(&want) {
+                            let mut fresh = want.fork_for_search();
+                            let mut recycled = make();
+                            state.fork_for_search_into(&mut recycled);
+                            assert_eq!(
+                                recycled.step(d).expect("recycled fork steps"),
+                                fresh.step(d).expect("fresh fork steps"),
+                                "{ctx}: event of {d:?}"
+                            );
+                            assert_same_search_fork(
+                                &fresh,
+                                &recycled,
+                                &format!("{ctx}, after {d:?}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `Machine::is_terminal` agrees with the enabled directives on every
+/// state of random walks on every lock, native and compiled, under TSO
+/// and PSO with crash budgets 0 and 1. It also agrees on every successor
+/// of those states once one crash is (again) allowed, so that crashes
+/// late in a passage are covered: among the states checked are terminal
+/// ones and ones where only a process that is down has a move.
+#[test]
+fn is_terminal_equals_no_enabled_directive() {
+    let (mut terminal, mut only_recovery) = (0, 0);
+    for (name, sys) in lock_systems(2) {
+        for model in [MemoryModel::Tso, MemoryModel::Pso] {
+            for crashes in [0, 1] {
+                for seed in 1..=4 {
+                    for (step, state) in walk(sys.as_ref(), model, crashes, seed, 400)
+                        .iter()
+                        .enumerate()
+                    {
+                        let mut armed = state.fork_for_search();
+                        armed.set_crash_budget(1);
+                        let successors = enabled_all(&armed).into_iter().map(|d| {
+                            let mut next = armed.fork_for_search();
+                            next.step(d).expect("enabled directive must step");
+                            next
+                        });
+                        let checked = [state.fork_for_search(), armed.fork_for_search()];
+                        for m in checked.into_iter().chain(successors) {
+                            let enabled = enabled_all(&m);
+                            assert_eq!(
+                                m.is_terminal(),
+                                enabled.is_empty(),
+                                "{name}, {model:?}, crash budget {crashes}, seed {seed}, \
+                                 step {step}"
+                            );
+                            terminal += m.is_terminal() as usize;
+                            only_recovery += (!enabled.is_empty()
+                                && enabled
+                                    .iter()
+                                    .all(|d| m.crash_state(d.pid()) == CrashState::Down))
+                                as usize;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(terminal > 0, "no terminal state checked");
+    assert!(only_recovery > 0, "no state where only a recovery is left");
+}
+
 #[test]
 fn search_forks_refuse_in_place_erasure() {
     let sys = mixed_system();
@@ -252,10 +454,6 @@ impl Program for RestartProgram {
 
     fn apply(&mut self, _outcome: Outcome) {
         self.step += 1;
-    }
-
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
     }
 
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {

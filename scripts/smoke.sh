@@ -54,11 +54,12 @@
 #      checkpoints a real frontier (nodes below the root, rebuilt on
 #      resume by replaying their ranks) in the verdict phase, which the
 #      committed file resumes on 1 thread to the baseline's 778 states
-#  14. the benchmark's replay self-check: builds the `perf` package
-#      (examples/perf) against the current crates and runs `perf check`,
-#      which replays the n = 2 portfolio through the layers' public
-#      functions and fails unless it reproduces the engine's counters
-#      exactly
+#  14. the benchmark package (examples/perf), which lies outside the
+#      workspace and so escapes stages 1, 2 and 15: clippy with warnings
+#      promoted to errors, its unit tests and a formatting check, all
+#      against the current crates; then `perf check`, which replays the
+#      n = 2 portfolio through the layers' public functions and fails
+#      unless it reproduces the engine's counters exactly
 #  15. formatting check
 #
 # Every stage runs under `timeout` (default 900 s per stage, override
@@ -273,8 +274,12 @@ cat "$SCRATCH/budget-resumed.txt"
 grep -q '\[resumed\] (778 states' "$SCRATCH/budget-resumed.txt" \
     || { echo "budget checkpoint did not resume to 778 states"; exit 1; }
 
-echo "== [14/15] benchmark replay self-check (perf check) =="
-t cargo run --offline --release --manifest-path examples/perf/Cargo.toml -- check
+echo "== [14/15] benchmark package: clippy, tests, fmt, replay self-check (perf check) =="
+PERF_MANIFEST=examples/perf/Cargo.toml
+t cargo clippy --offline --manifest-path "$PERF_MANIFEST" --all-targets -- -D warnings
+t cargo test --offline -q --manifest-path "$PERF_MANIFEST"
+t cargo fmt --manifest-path "$PERF_MANIFEST" -- --check
+t cargo run --offline --release --manifest-path "$PERF_MANIFEST" -- check
 
 echo "== [15/15] cargo fmt --check =="
 t cargo fmt --all -- --check

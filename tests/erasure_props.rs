@@ -214,9 +214,6 @@ impl Program for RestartProgram {
     fn apply(&mut self, _outcome: Outcome) {
         self.step += 1;
     }
-    fn fork(&self) -> Box<dyn Program> {
-        Box::new(self.clone())
-    }
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.step.hash(&mut h);
