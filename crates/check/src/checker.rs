@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use tpa_obs::{EnvFingerprint, Ledger, Metrics, Probe, RunInfo, RunRecord, RunSummary};
 use tpa_tso::sched::XorShift;
-use tpa_tso::{Machine, MemoryModel, ProcId, SymmetryGroup, System};
+use tpa_tso::{Machine, MemoryModel, ProcId, SymmetryGroup, System, VmSystem};
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError, Fingerprint};
 use crate::explore::{enabled_all, ExploreConfig, IncompleteReason};
@@ -40,10 +40,10 @@ use crate::parallel::{run_exhaustive, CheckpointHooks, ResumeSeed, SnapshotData}
 use crate::swarm::{run_swarm, SwarmConfig};
 use crate::verdict::{condemn, Report, Verdict};
 
-/// Default size of the deadline-degradation swarm fallback
-/// ([`Checker::fallback_schedules`]). Small on purpose: the fallback
-/// exists to keep *looking for violations* after completeness is lost,
-/// not to burn the rest of the wall clock.
+/// Size of the swarm fallback an exhaustive search runs when it hits its
+/// wall-clock deadline ([`Report::fallback_schedules`]). Small on
+/// purpose: the fallback exists to keep *looking for violations* after
+/// completeness is lost, not to burn the rest of the wall clock.
 const FALLBACK_SCHEDULES: usize = 32;
 
 /// Steps per transposition in the start-of-run symmetry validation walk.
@@ -58,20 +58,14 @@ fn model_tag(model: MemoryModel) -> &'static str {
     }
 }
 
-/// Records a finished search's bytecode-VM metrics: program size and
-/// dispatched transitions when it ran compiled, and the decoder's
-/// process-wide counters.
-fn record_vm(m: &Metrics, compiled: Option<&tpa_tso::VmSystem>, transitions: u64) {
+/// Records the size of the bytecode a compiled search ran.
+fn record_vm(m: &Metrics, compiled: Option<&VmSystem>) {
     if let Some(vm) = compiled {
         let instrs: u64 = (0..vm.n())
             .map(|p| vm.bytecode(ProcId(p as u32)).code.len() as u64)
             .sum();
         m.gauge("vm.code_instrs").set(instrs);
-        m.counter("vm.dispatch_transitions").add(transitions);
     }
-    let (calls, decoded) = tpa_tso::bytecode::decode_counters();
-    m.gauge("vm.decode_calls").set(calls);
-    m.gauge("vm.decoded_instrs").set(decoded);
 }
 
 /// Dynamically validates a system's claimed pid-symmetry before the
@@ -80,17 +74,18 @@ fn record_vm(m: &Metrics, compiled: Option<&tpa_tso::VmSystem>, transitions: u64
 /// pseudo-random schedule, the other under the *renamed* schedule — and
 /// require the canonical state keys to agree after every step.
 ///
-/// The walk is *validity-preserving*: it only takes steps after which `π`
-/// is still expressible for the reached state (`state_hash_permuted`
-/// returns `Some`). That is exactly the regime in which the cache would
-/// merge the two states, so it is the property worth testing; outside it
-/// (a pid-order scan mid-prefix, an unwritten pid-valued variable the
-/// transposition moves) the two executions legitimately diverge and the
-/// canonicaliser never equates them anyway. A walk that cannot start or
-/// continue validates vacuously; a *mismatch* — the declared marks are
-/// wrong, so two genuinely equivalent states canonicalise apart — rejects
-/// the group and the checker falls back to concrete keys, which is always
-/// sound.
+/// The walk only takes steps after which `π` is still expressible for
+/// the reached state (`state_hash_permuted` returns `Some`), so it never
+/// follows the executions where a renamed scan lock diverges from the
+/// original. Those divergences are not harmless: under canonical keys,
+/// `splitter`, `filter` and `dijkstra` can report `Pass` on an orbit
+/// that concrete keys report as a `Violation`, because a renaming valid
+/// in one state need not commute with the transitions out of it
+/// (ROADMAP item 1). A walk confined to the valid regime cannot see
+/// that. A walk that cannot start or continue validates vacuously; a
+/// *mismatch* — the declared marks are wrong, so two equivalent states
+/// canonicalise apart — rejects the group and the checker falls back to
+/// concrete keys.
 fn validate_symmetry(
     system: &dyn System,
     model: MemoryModel,
@@ -220,113 +215,39 @@ impl Features {
     }
 }
 
-/// The system under check: borrowed from the caller or owned by the
-/// checker (scenarios compiled from DSL source have no other owner).
-enum SystemRef<'a> {
-    Borrowed(&'a dyn System),
-    Owned(Box<dyn System>),
+/// What one check searches, derived once by [`Checker::derive`]: the
+/// system its workers step and the symmetry group its cache keys under.
+struct Search<'a> {
+    /// The system as the caller gave it.
+    native: &'a dyn System,
+    /// Its compiled form, when [`Execution::Compiled`] engaged.
+    compiled: Option<VmSystem>,
+    /// The validated group, when [`StateKeys::Canonical`] engaged.
+    group: Option<SymmetryGroup>,
+    /// Whether the derivation ran the symmetry validation walk
+    /// (`sym.validations`).
+    walked: bool,
+    /// Whether canonical keys were asked of a symmetric system and did
+    /// not engage (`sym.fallbacks`).
+    declined: bool,
 }
 
-impl SystemRef<'_> {
-    fn get(&self) -> &dyn System {
-        match self {
-            SystemRef::Borrowed(s) => *s,
-            SystemRef::Owned(s) => s.as_ref(),
+impl Search<'_> {
+    /// The system the search steps: the compiled one when the VM engaged.
+    fn system(&self) -> &dyn System {
+        match &self.compiled {
+            Some(vm) => vm,
+            None => self.native,
         }
     }
 }
 
-/// Anything the checker can check: a borrowed native [`System`], an
-/// owned (boxed) system, or `.tpa` scenario source compiled on entry.
-///
-/// This is the single front door ([`Checker::scenario`]) unifying the
-/// native lock implementations, [`tpa_tso::scripted::ScriptSystem`], and
-/// the scenario DSL:
-///
-/// ```
-/// use tpa_check::{Checker, Scenario};
-/// # use tpa_tso::scripted::{Instr, ScriptSystem};
-///
-/// // A native or scripted system, by reference.
-/// let sys = ScriptSystem::new(1, 1, |_| vec![Instr::Halt]);
-/// Checker::scenario(&sys).unwrap().exhaustive().assert_pass();
-///
-/// // DSL source, compiled on entry.
-/// let src = "scenario tiny procs 1 var x proc* { x = 1 fence halt }";
-/// Checker::scenario(Scenario::source(src))
-///     .unwrap()
-///     .exhaustive()
-///     .assert_pass();
-/// ```
-pub enum Scenario<'a> {
-    /// A borrowed system.
-    System(&'a dyn System),
-    /// An owned system.
-    Boxed(Box<dyn System>),
-    /// Scenario DSL source text; `origin` names it in diagnostics.
-    Source {
-        /// The `.tpa` source text.
-        src: String,
-        /// Where it came from (a file name, `"<inline>"`, …).
-        origin: String,
-    },
+/// A checkpoint [`Checker::resume_from`] accepted, with the search it
+/// derived to accept it, which [`Checker::exhaustive`] then runs.
+struct Resume<'a> {
+    ckpt: Checkpoint,
+    search: Search<'a>,
 }
-
-impl Scenario<'_> {
-    /// A scenario from inline DSL source.
-    pub fn source(src: impl Into<String>) -> Self {
-        Scenario::Source {
-            src: src.into(),
-            origin: "<inline>".into(),
-        }
-    }
-
-    /// A scenario from DSL source read from `origin` (used only for
-    /// diagnostics; this does not touch the filesystem).
-    pub fn named_source(src: impl Into<String>, origin: impl Into<String>) -> Self {
-        Scenario::Source {
-            src: src.into(),
-            origin: origin.into(),
-        }
-    }
-}
-
-impl<'a, S: System> From<&'a S> for Scenario<'a> {
-    fn from(s: &'a S) -> Self {
-        Scenario::System(s)
-    }
-}
-
-impl<'a> From<&'a dyn System> for Scenario<'a> {
-    fn from(s: &'a dyn System) -> Self {
-        Scenario::System(s)
-    }
-}
-
-impl From<Box<dyn System>> for Scenario<'_> {
-    fn from(s: Box<dyn System>) -> Self {
-        Scenario::Boxed(s)
-    }
-}
-
-impl From<tpa_dsl::CompiledScenario> for Scenario<'_> {
-    fn from(s: tpa_dsl::CompiledScenario) -> Self {
-        Scenario::Boxed(Box::new(s.system))
-    }
-}
-
-/// A scenario that failed to compile: the pre-rendered diagnostic
-/// (source line, caret, help) from the DSL frontend.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ScenarioError(pub String);
-
-impl std::fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ScenarioError {}
 
 /// Configures and runs one check of one system; see the
 /// [module docs](crate::checker) for an example.
@@ -335,7 +256,7 @@ impl std::error::Error for ScenarioError {}
 /// bound of 80 (exhaustive) / 4096 (swarm), a 20M-transition budget, and
 /// the swarm seed the portfolio tests use.
 pub struct Checker<'a> {
-    system: SystemRef<'a>,
+    system: &'a dyn System,
     model: MemoryModel,
     invariants: Vec<Box<dyn Invariant>>,
     max_steps: Option<usize>,
@@ -345,10 +266,9 @@ pub struct Checker<'a> {
     threads: usize,
     seed: u64,
     features: Features,
-    fallback_schedules: usize,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: Option<u64>,
-    resume: Option<Checkpoint>,
+    resume: Option<Resume<'a>>,
     probe: Option<Arc<dyn Probe>>,
     metrics: Option<Arc<Metrics>>,
     ledger: Option<PathBuf>,
@@ -358,29 +278,6 @@ pub struct Checker<'a> {
 impl<'a> Checker<'a> {
     /// A checker for `system` with the defaults above.
     pub fn new(system: &'a dyn System) -> Self {
-        Checker::with_system(SystemRef::Borrowed(system))
-    }
-
-    /// The unified entry point: accepts anything [`Scenario`] covers —
-    /// `&impl System`, a boxed system, a compiled DSL scenario, or DSL
-    /// source (compiled here).
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError`] when DSL source fails to compile; the message is
-    /// the rendered diagnostic. Non-source scenarios cannot fail.
-    pub fn scenario(scenario: impl Into<Scenario<'a>>) -> Result<Self, ScenarioError> {
-        Ok(match scenario.into() {
-            Scenario::System(s) => Checker::with_system(SystemRef::Borrowed(s)),
-            Scenario::Boxed(s) => Checker::with_system(SystemRef::Owned(s)),
-            Scenario::Source { src, origin } => {
-                let compiled = tpa_dsl::compile_named(&src, &origin).map_err(ScenarioError)?;
-                Checker::with_system(SystemRef::Owned(Box::new(compiled.system)))
-            }
-        })
-    }
-
-    fn with_system(system: SystemRef<'a>) -> Self {
         Checker {
             system,
             model: MemoryModel::Tso,
@@ -392,7 +289,6 @@ impl<'a> Checker<'a> {
             threads: 1,
             seed: SwarmConfig::default().seed,
             features: Features::default(),
-            fallback_schedules: FALLBACK_SCHEDULES,
             checkpoint_dir: None,
             checkpoint_every: None,
             resume: None,
@@ -487,10 +383,11 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// Worker threads for the search (both modes). Any count produces the
-    /// same verdict and witness, and with concrete keys the same
-    /// unique-state count. With [`StateKeys::Canonical`] a passing
-    /// search's count is stable only on one thread (see
+    /// Worker threads for the search (both modes). With concrete keys
+    /// any count produces the same verdict, witness and unique-state
+    /// count. With [`StateKeys::Canonical`] a search can lose reachable
+    /// orbits, and which ones depends on its visiting order, so a
+    /// passing search's count is stable only on one thread (see
     /// [`crate::EffortStats::unique_states`]). An exhaustive search on
     /// more than one thread decides the verdict without the cache's rank
     /// test and, only when it finds a violation, runs the sequential
@@ -511,16 +408,6 @@ impl<'a> Checker<'a> {
     /// The base seed for swarm schedules.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// The size of the deadline-degradation swarm fallback: how many
-    /// biased random schedules to run over the uncovered space when an
-    /// exhaustive search hits its wall-clock deadline. Defaults to 32;
-    /// `0` disables the fallback entirely. The actual effort made is
-    /// surfaced in [`Report::fallback_schedules`] and the ledger record.
-    pub fn fallback_schedules(mut self, schedules: usize) -> Self {
-        self.fallback_schedules = schedules;
         self
     }
 
@@ -568,9 +455,12 @@ impl<'a> Checker<'a> {
     /// fingerprint). A checkpoint of the witness search
     /// ([`crate::SearchPhase::Witness`]) resumes on one thread whatever
     /// [`Checker::threads`] says; one of the verdict search resumes on
-    /// the configured threads. Do not change the imposed knobs afterwards:
-    /// [`Checker::exhaustive`] re-verifies the fingerprint and panics on
-    /// a mismatch rather than run an unsound search.
+    /// the configured threads. The search derived here to check the
+    /// fingerprint is the one [`Checker::exhaustive`] runs, so the VM
+    /// compile and the symmetry validation walk happen once. Do not
+    /// change the imposed knobs afterwards: [`Checker::exhaustive`]
+    /// re-verifies the fingerprint and panics on a mismatch rather than
+    /// run an unsound search.
     ///
     /// # Errors
     ///
@@ -596,86 +486,79 @@ impl<'a> Checker<'a> {
                 StateKeys::Concrete
             },
         };
-        self.check_resumable(&ckpt)?;
-        self.resume = Some(ckpt);
+        let search = self.derive(self.features.keys);
+        let ours = self.fingerprint(&search, fp.max_steps as usize);
+        if let Some(msg) = ours
+            .mismatch(fp)
+            .or_else(|| ckpt.replay_mismatch(search.system()))
+        {
+            return Err(CheckpointError::Incompatible(msg));
+        }
+        self.resume = Some(Resume { ckpt, search });
         Ok(self)
     }
 
-    /// Refuses `ckpt` unless it belongs to this checker's exhaustive
-    /// search: the fingerprint derived from scratch (compiling the VM and
-    /// validating symmetry exactly as [`Checker::exhaustive`] will, minus
-    /// the metrics side-effects) must match, and every stored position
-    /// must replay on the system the search will run.
-    fn check_resumable(&self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        let native = self.system.get();
-        let compiled = if self.features.execution == Execution::Compiled {
-            native.compile_vm()
-        } else {
-            None
+    /// Derives what a check searches: the compiled system under
+    /// [`Execution::Compiled`] and, when `keys` is canonical, the
+    /// symmetry group that survives [`validate_symmetry`]. A swarm keeps
+    /// no state keys, so it asks for concrete ones and walks nothing.
+    fn derive(&self, keys: StateKeys) -> Search<'a> {
+        let compiled = match self.features.execution {
+            Execution::Compiled => self.system.compile_vm(),
+            Execution::Native => None,
         };
-        let system: &dyn System = match &compiled {
-            Some(vm) => vm,
-            None => native,
+        let mut search = Search {
+            native: self.system,
+            compiled,
+            group: None,
+            walked: false,
+            declined: false,
         };
-        let symmetry_engaged = if self.features.keys == StateKeys::Canonical && system.symmetric() {
-            let g = SymmetryGroup::for_spec(&system.vars(), system.n());
-            !g.is_trivial() && validate_symmetry(system, self.model, self.max_crashes, &g)
-        } else {
-            false
-        };
-        let ours = self.build_fingerprint(
-            native,
-            system,
-            compiled.as_ref(),
-            symmetry_engaged,
-            ckpt.fingerprint.max_steps as usize,
-        );
-        match ours
-            .mismatch(&ckpt.fingerprint)
-            .or_else(|| ckpt.replay_mismatch(system))
-        {
-            Some(msg) => Err(CheckpointError::Incompatible(msg)),
-            None => Ok(()),
+        let system = search.system();
+        if keys == StateKeys::Canonical && system.symmetric() {
+            let group = SymmetryGroup::for_spec(&system.vars(), system.n());
+            let walked = !group.is_trivial();
+            let engaged = walked && validate_symmetry(system, self.model, self.max_crashes, &group);
+            search.walked = walked;
+            search.declined = !engaged;
+            search.group = engaged.then_some(group);
         }
+        search
     }
 
-    /// Assembles the [`Fingerprint`] from already-derived parts (so the
-    /// hot path reuses its compiled VM and validated group instead of
-    /// re-deriving them).
-    fn build_fingerprint(
-        &self,
-        native: &dyn System,
-        system: &dyn System,
-        compiled: Option<&tpa_tso::VmSystem>,
-        symmetry_engaged: bool,
-        max_steps: usize,
-    ) -> Fingerprint {
-        let mut init = Machine::with_model(system, self.model);
+    /// The [`Fingerprint`] of `search` under a step bound of `max_steps`.
+    /// It pins the *derived* search identity — which accelerators
+    /// engaged, not just which were asked for — and costs an initial
+    /// machine, a VM compile when the search runs natively, and an
+    /// encode of every program, so only writing a checkpoint or resuming
+    /// one builds it.
+    fn fingerprint(&self, search: &Search, max_steps: usize) -> Fingerprint {
+        let mut init = Machine::with_model(search.system(), self.model);
         init.set_crash_budget(self.max_crashes);
         // The code hash is taken from a VM compile even when the run
         // itself interprets natively: the initial-state hash cannot see
         // program text, so this is what catches a program edited since
         // the snapshot. Systems that don't compile keep hash 0 and rely
         // on the other fields.
-        let hash_of = |vm: &tpa_tso::VmSystem| {
+        let hash_of = |vm: &VmSystem| {
             let mut bytes = Vec::new();
             for p in 0..vm.n() {
                 bytes.extend(vm.bytecode(ProcId(p as u32)).encode());
             }
             checkpoint::fnv1a(&bytes)
         };
-        let code_hash = match compiled {
+        let code_hash = match &search.compiled {
             Some(vm) => hash_of(vm),
-            None => native.compile_vm().as_ref().map(hash_of).unwrap_or(0),
+            None => search.native.compile_vm().as_ref().map_or(0, hash_of),
         };
         Fingerprint {
-            system: native.name().to_string(),
-            n: native.n() as u32,
+            system: search.native.name().to_string(),
+            n: search.native.n() as u32,
             model: self.model,
             execution_compiled: self.features.execution == Execution::Compiled,
             keys_canonical: self.features.keys == StateKeys::Canonical,
-            vm_engaged: compiled.is_some(),
-            symmetry_engaged,
+            vm_engaged: search.compiled.is_some(),
+            symmetry_engaged: search.group.is_some(),
             max_steps: max_steps as u64,
             max_crashes: self.max_crashes,
             init_state_hash: init.state_hash(),
@@ -710,55 +593,38 @@ impl<'a> Checker<'a> {
     /// changed afterwards: resuming into a different search space would
     /// be unsound, so the fingerprint is re-verified here.
     pub fn exhaustive(mut self) -> Report {
-        let resume_ckpt = self.resume.take();
-        let resumed_from = resume_ckpt.as_ref().map(|c| c.id().to_owned());
+        let resume = self.resume.take();
+        let resumed_from = resume.as_ref().map(|r| r.ckpt.id().to_owned());
         let config = ExploreConfig {
             max_steps: self.max_steps.unwrap_or(ExploreConfig::default().max_steps),
             max_transitions: self.max_transitions,
             max_crashes: self.max_crashes,
             deadline: self.deadline.map(|d| Instant::now() + d),
         };
-        let native = self.system.get();
-        let compiled = if self.features.execution == Execution::Compiled {
-            native.compile_vm()
-        } else {
-            None
+        let (search, resume_ckpt) = match resume {
+            Some(Resume { ckpt, search }) => (search, Some(ckpt)),
+            None => (self.derive(self.features.keys), None),
         };
-        let system: &dyn System = match &compiled {
-            Some(vm) => vm,
-            None => native,
-        };
+        let system = search.system();
+        let group = search.group.as_ref();
         let registry = self.registry();
-        let group = if self.features.keys == StateKeys::Canonical && system.symmetric() {
-            let g = SymmetryGroup::for_spec(&system.vars(), system.n());
-            let engaged = !g.is_trivial() && {
-                if let Some(m) = &registry {
-                    m.counter("sym.validations").incr();
-                }
-                validate_symmetry(system, self.model, self.max_crashes, &g)
-            };
-            if !engaged {
-                if let Some(m) = &registry {
-                    m.counter("sym.fallbacks").incr();
-                }
+        if let Some(m) = &registry {
+            if search.walked {
+                m.counter("sym.validations").incr();
             }
-            engaged.then_some(g)
-        } else {
-            None
-        };
-        // The fingerprint pins the *derived* search identity — which
-        // accelerators actually engaged, not just which were asked for —
-        // so it must be assembled after VM compilation and symmetry
-        // validation.
-        let fingerprint = self.build_fingerprint(
-            native,
-            system,
-            compiled.as_ref(),
-            group.is_some(),
-            config.max_steps,
-        );
+            if search.declined {
+                m.counter("sym.fallbacks").incr();
+            }
+        }
+        // Only a checkpoint reads the fingerprint: one this run writes,
+        // or the one it resumes.
+        let fingerprint = (self.checkpoint_dir.is_some() || resume_ckpt.is_some())
+            .then(|| self.fingerprint(&search, config.max_steps));
         let seed = resume_ckpt.map(|ckpt| {
-            if let Some(msg) = fingerprint.mismatch(&ckpt.fingerprint) {
+            let ours = fingerprint
+                .as_ref()
+                .expect("a resume builds the fingerprint");
+            if let Some(msg) = ours.mismatch(&ckpt.fingerprint) {
                 panic!(
                     "checker reconfigured after resume_from(): {msg}; \
                      resuming into a different search space would be unsound"
@@ -772,17 +638,15 @@ impl<'a> Checker<'a> {
                 cache: ckpt.cache,
             }
         });
-        let ckpt_dir = self.checkpoint_dir.clone();
-        let emit_fp = fingerprint.clone();
-        let emit = move |snap: SnapshotData| -> Option<(String, PathBuf)> {
-            let dir = ckpt_dir.as_ref()?;
+        let emit = |snap: SnapshotData| -> Option<(String, PathBuf)> {
+            let (dir, fingerprint) = self.checkpoint_dir.as_ref().zip(fingerprint.as_ref())?;
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("[checkpoint] cannot create {}: {e}", dir.display());
                 return None;
             }
             let ckpt = Checkpoint {
                 id: checkpoint::fresh_id(),
-                fingerprint: emit_fp.clone(),
+                fingerprint: fingerprint.clone(),
                 phase: snap.phase,
                 counters: snap.counters,
                 candidate: snap.candidate,
@@ -820,7 +684,7 @@ impl<'a> Checker<'a> {
             &config,
             self.threads,
             self.probe.as_deref(),
-            group.as_ref(),
+            group,
             registry.as_deref(),
             seed,
             hooks.as_ref(),
@@ -836,12 +700,9 @@ impl<'a> Checker<'a> {
         // verdict incomplete either way.
         let mut fallback_note = String::new();
         let mut fallback_schedules = 0;
-        if self.fallback_schedules > 0
-            && found.is_none()
-            && matches!(stats.incomplete, Some(IncompleteReason::DeadlineExpired))
-        {
+        if found.is_none() && matches!(stats.incomplete, Some(IncompleteReason::DeadlineExpired)) {
             let fallback = SwarmConfig {
-                schedules: self.fallback_schedules,
+                schedules: FALLBACK_SCHEDULES,
                 max_steps: config.max_steps,
                 seed: self.seed,
                 max_crashes: self.max_crashes,
@@ -876,7 +737,7 @@ impl<'a> Checker<'a> {
             });
         }
         if let Some(m) = &registry {
-            record_vm(m, compiled.as_ref(), stats.transitions);
+            record_vm(m, search.compiled.as_ref());
         }
         let verdict = if found.is_none() {
             match &stats.incomplete {
@@ -904,7 +765,7 @@ impl<'a> Checker<'a> {
             mode: "exhaustive",
             threads: self.threads,
             symmetry: group.is_some(),
-            vm: compiled.is_some(),
+            vm: search.compiled.is_some(),
             fallback_schedules,
             wall,
             verdict,
@@ -947,16 +808,8 @@ impl<'a> Checker<'a> {
             seed: self.seed,
             max_crashes: self.max_crashes,
         };
-        let native = self.system.get();
-        let compiled = if self.features.execution == Execution::Compiled {
-            native.compile_vm()
-        } else {
-            None
-        };
-        let system: &dyn System = match &compiled {
-            Some(vm) => vm,
-            None => native,
-        };
+        let search = self.derive(StateKeys::Concrete);
+        let system = search.system();
         let registry = self.registry();
         if let Some(probe) = &self.probe {
             probe.run_start(&RunInfo {
@@ -993,7 +846,7 @@ impl<'a> Checker<'a> {
             });
         }
         if let Some(m) = &registry {
-            record_vm(m, compiled.as_ref(), stats.transitions);
+            record_vm(m, search.compiled.as_ref());
         }
         let verdict = match (outcome.found, &stats.incomplete) {
             (Some(found), _) => condemn(
@@ -1018,7 +871,7 @@ impl<'a> Checker<'a> {
             mode: "swarm",
             threads: self.threads,
             symmetry: false,
-            vm: compiled.is_some(),
+            vm: search.compiled.is_some(),
             fallback_schedules: 0,
             wall,
             verdict,

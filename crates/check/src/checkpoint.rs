@@ -16,10 +16,9 @@
 //! resumes as the sequential witness search. Cache entries keep their
 //! real ranks in both, so one entry layout serves both phases.
 //!
-//! The wire format follows the bytecode codec's discipline
-//! ([`tpa_tso::bytecode`]): a magic/version header, explicit
-//! little-endian integers, and a decoder that fails with a byte offset
-//! and section context — never a panic — on malformed input. On top of
+//! The wire format has a magic/version header, explicit little-endian
+//! integers, and a decoder that fails with a byte offset and section
+//! context — never a panic — on malformed input. On top of
 //! that, durability demands more than structure checks: the header
 //! carries the payload length and an FNV-1a checksum of the payload, so
 //! a short write, a torn write or a flipped bit is *detected*, not

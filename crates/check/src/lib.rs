@@ -56,7 +56,7 @@ mod sleep;
 pub mod swarm;
 pub mod verdict;
 
-pub use checker::{Checker, Execution, Features, Scenario, ScenarioError, StateKeys};
+pub use checker::{Checker, Execution, Features, StateKeys};
 pub use checkpoint::{Checkpoint, CheckpointError, FailpointWriter, Section, WriteFault};
 pub use explore::{enabled_all, ExploreConfig, FoundViolation, IncompleteReason};
 pub use invariant::{crash_invariants, standard_invariants, Invariant, Violation};

@@ -26,15 +26,15 @@
 //!   violation, from the root with a fresh cache and what is left of the
 //!   transition budget and the deadline.
 //!
-//! So every thread count reports the same verdict and the same witness.
-//! With concrete keys it also reports the same `unique_states`: a pass's
-//! state count is the set of states within the step bound, whatever
-//! order workers reach them in, and a violation's comes from the
-//! sequential witness search. With canonical keys only one thread and
-//! violations give a stable count: two states of one symmetry orbit can
-//! have different canonical keys when a renaming's validity depends on
-//! the state, so a multi-thread pass records whichever keys its workers
-//! reach first.
+//! So with concrete keys every thread count reports the same verdict,
+//! the same witness and the same `unique_states`: a pass's state count
+//! is the set of states within the step bound, whatever order workers
+//! reach them in, and a violation's comes from the sequential witness
+//! search. With canonical keys only one thread and violations give a
+//! stable count. Keys are orbit-invariant; the drift comes from which
+//! orbits a visiting order loses. On `splitter`, `filter` and
+//! `dijkstra` the canonical search loses reachable orbits, and can pass
+//! an orbit that concrete keys report as a violation (ROADMAP item 1).
 //!
 //! Every node carries its **rank** (the path of sibling indices from the
 //! root, as a compact byte string); ranks order nodes exactly as a

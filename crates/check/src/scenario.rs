@@ -3,8 +3,9 @@
 //! each clause's verdict against its `expect`.
 //!
 //! This is the engine behind the `check_file` CLI and the corpus golden
-//! tests; library users who only want "check this system" should go
-//! through [`Checker::scenario`](crate::Checker::scenario) instead.
+//! tests; library users who only want "check this system" should hand
+//! the compiled scenario's `system` to [`Checker::new`](crate::Checker::new)
+//! instead.
 
 use std::path::PathBuf;
 use std::sync::Arc;

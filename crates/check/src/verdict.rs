@@ -82,10 +82,11 @@ pub struct EffortStats {
     ///
     /// With [`crate::StateKeys::Canonical`] it counts canonical keys. The
     /// count is stable on one thread and on a violation, but a pass on
-    /// more than one thread may count slightly more or fewer: where a
-    /// renaming's validity depends on the state, two states of one orbit
-    /// can have different keys, so which keys get recorded depends on
-    /// which state of the orbit a worker expands first.
+    /// more than one thread may count slightly more or fewer. Keys are
+    /// orbit-invariant; the drift comes from which orbits a visiting
+    /// order loses. On `splitter`, `filter` and `dijkstra` the canonical
+    /// search loses reachable orbits, and can report a pass where
+    /// concrete keys find a violation (ROADMAP item 1).
     pub unique_states: usize,
     /// Random schedules run (swarm mode only).
     pub schedules_run: usize,
@@ -119,9 +120,8 @@ pub struct Report {
     /// `None`).
     pub vm: bool,
     /// How many biased random schedules the deadline-degradation swarm
-    /// fallback ran after an exhaustive deadline expiry
-    /// ([`crate::Checker::fallback_schedules`]); `0` when the fallback
-    /// did not fire.
+    /// fallback ran after an exhaustive deadline expiry (32); `0` when
+    /// the fallback did not fire.
     pub fallback_schedules: usize,
     /// Wall-clock time of the search (excluding shrinking/rendering).
     pub wall: std::time::Duration,

@@ -194,8 +194,11 @@ fn faultless_writer_round_trips() {
 
 /// A stale checkpoint: the program changed (same system name, same
 /// shape, different instructions) since the snapshot was taken. The
-/// initial-state hash in the fingerprint catches it, and the diagnostic
-/// says so — resuming would silently verify the *old* program.
+/// initial states are equal, since a script's state hash covers its
+/// program counter, registers and halt flag but not its instructions,
+/// so the initial-state hash cannot see the edit. The fingerprint's bytecode
+/// hash catches it, and the diagnostic says so — resuming would silently
+/// verify the *old* program.
 #[test]
 fn stale_program_is_incompatible() {
     let sys = store_buffer();
@@ -225,8 +228,8 @@ fn stale_program_is_incompatible() {
         panic!("wrong error class: {err}");
     };
     assert!(
-        msg.contains("stale checkpoint"),
-        "diagnostic should say the checkpoint is stale: {msg}"
+        msg.contains("the compiled bytecode hash differs") && msg.contains("stale checkpoint"),
+        "diagnostic should name the bytecode hash and say the checkpoint is stale: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -78,12 +78,12 @@ fn portfolio_n2_symmetry_is_verdict_preserving_and_reduces_states() {
 
 /// On `ticketq` and `mcs` at n = 3 the canonical-state count is
 /// identical at 1, 2 and 4 threads. Those two locks are covered because
-/// every renaming is valid in every state they reach, so each state's
-/// canonical key is the same across its symmetry orbit. Where validity
-/// depends on the state (`splitter`, `filter`), two states of one orbit
-/// can have different keys, and a multi-thread pass's count depends on
-/// which state of the orbit a worker expands first: stable on one
-/// thread, not across thread counts.
+/// every renaming is valid in every state they reach, and the search
+/// loses no reachable orbit. Keys are orbit-invariant on every lock; on
+/// `splitter` and `filter` the canonical search loses reachable orbits,
+/// and which ones depends on the visiting order, so a multi-thread
+/// pass's count drifts (ROADMAP item 1). It is stable on one thread,
+/// not across thread counts.
 #[test]
 fn canonical_state_count_is_stable_across_thread_counts() {
     for name in ["ticketq", "mcs"] {

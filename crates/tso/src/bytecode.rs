@@ -27,9 +27,6 @@
 //! pid-bearing registers (a dead register is canonically zero and hashes
 //! as plain data).
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::ids::Value;
 
 /// Number of registers in a VM register file (matches
@@ -289,9 +286,13 @@ pub struct Bytecode {
 }
 
 impl Bytecode {
-    /// Serialises the bytecode to a flat byte string. The format is an
-    /// internal fixture format (pinned only by
-    /// [`Bytecode::decode`] round-trip tests), not a stable ABI.
+    /// Serialises the bytecode to a flat byte string. This is the
+    /// checkpoint fingerprint's serialization: its code hash is an
+    /// FNV-1a over every process's encoding, and nothing decodes the
+    /// bytes. Two encodings are equal exactly when the bytecode is
+    /// (pinned by `tests/vm_props.rs`), so an edited program changes
+    /// what the hash covers. Not a stable ABI: changing the format makes
+    /// existing checkpoints stale.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.code.len() * 8);
         out.extend_from_slice(b"TPAB");
@@ -326,160 +327,7 @@ impl Bytecode {
         }
         out
     }
-
-    /// Deserialises a byte string produced by [`Bytecode::encode`].
-    ///
-    /// # Errors
-    ///
-    /// A [`DecodeError`] locating the first malformed field: the byte
-    /// offset it was found at and which section (header, register
-    /// block, `instr[i]`, symmetry table, …) was being decoded.
-    pub fn decode(bytes: &[u8]) -> Result<Bytecode, DecodeError> {
-        DECODE_CALLS.fetch_add(1, Ordering::Relaxed);
-        let mut r = Reader {
-            bytes,
-            at: 0,
-            context: Context::Header,
-        };
-        let at = r.at;
-        if r.take(4)? != b"TPAB" {
-            return Err(r.fail_at(at, "bad magic"));
-        }
-        let at = r.at;
-        let version = r.u8()?;
-        if version != 1 {
-            return Err(r.fail_at(at, format!("unsupported version {version}")));
-        }
-        let me = r.u32()?;
-        r.context = Context::InitRegs;
-        let mut init_regs = [0; NREGS];
-        for reg in &mut init_regs {
-            *reg = r.u64()?;
-        }
-        r.context = Context::RecoverPc;
-        let at = r.at;
-        let recover_pc = match r.u8()? {
-            0 => None,
-            1 => Some(r.u16()?),
-            t => return Err(r.fail_at(at, format!("bad recover tag {t}"))),
-        };
-        r.context = Context::CodeLen;
-        let len = r.u32()? as usize;
-        let mut code = Vec::with_capacity(len.min(u16::MAX as usize));
-        for i in 0..len {
-            r.context = Context::Instr(i);
-            code.push(dec_instr(&mut r)?);
-        }
-        r.context = Context::SymTable;
-        let at = r.at;
-        let sym = match r.u8()? {
-            0 => SymMode::Asymmetric,
-            1 => SymMode::Equivariant,
-            2 => {
-                let rows = r.u32()? as usize;
-                let mut table = Vec::with_capacity(rows.min(u16::MAX as usize));
-                for _ in 0..rows {
-                    let mut row = [RegKind::Plain; NREGS];
-                    for kind in &mut row {
-                        *kind = dec_kind(&mut r)?;
-                    }
-                    table.push(row);
-                }
-                SymMode::Kinds(table)
-            }
-            t => return Err(r.fail_at(at, format!("bad sym tag {t}"))),
-        };
-        if r.at != bytes.len() {
-            return Err(DecodeError {
-                offset: r.at,
-                context: Context::Trailer,
-                detail: format!("{} trailing bytes", bytes.len() - r.at),
-            });
-        }
-        DECODED_INSTRS.fetch_add(code.len() as u64, Ordering::Relaxed);
-        Ok(Bytecode {
-            code,
-            init_regs,
-            recover_pc,
-            sym,
-            me,
-        })
-    }
 }
-
-/// Wire-format decode effort, cumulative over the process lifetime.
-/// [`Bytecode::decode`] is a cold path (fixtures, differential tests) —
-/// globals here are cheaper and simpler than threading a registry through
-/// every call site, and the metrics layer only reads them as gauges.
-static DECODE_CALLS: AtomicU64 = AtomicU64::new(0);
-static DECODED_INSTRS: AtomicU64 = AtomicU64::new(0);
-
-/// `(decode_calls, decoded_instrs)`: how many [`Bytecode::decode`] calls
-/// this process has made (successful or not) and how many instructions
-/// those calls successfully decoded.
-pub fn decode_counters() -> (u64, u64) {
-    (
-        DECODE_CALLS.load(Ordering::Relaxed),
-        DECODED_INSTRS.load(Ordering::Relaxed),
-    )
-}
-
-/// Which section of the wire format a [`DecodeError`] was found in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Context {
-    /// The magic/version/`me` header.
-    Header,
-    /// The initial register block.
-    InitRegs,
-    /// The crash-recovery entry point.
-    RecoverPc,
-    /// The instruction-count field.
-    CodeLen,
-    /// Instruction `i` of the code section.
-    Instr(usize),
-    /// The symmetry-mode table.
-    SymTable,
-    /// Bytes past the end of the encoding.
-    Trailer,
-}
-
-impl fmt::Display for Context {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Context::Header => write!(f, "header"),
-            Context::InitRegs => write!(f, "initial registers"),
-            Context::RecoverPc => write!(f, "recover pc"),
-            Context::CodeLen => write!(f, "code length"),
-            Context::Instr(i) => write!(f, "instr[{i}]"),
-            Context::SymTable => write!(f, "symmetry table"),
-            Context::Trailer => write!(f, "trailer"),
-        }
-    }
-}
-
-/// A malformed [`Bytecode`] encoding: what was wrong, at which byte
-/// offset, while decoding which section.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DecodeError {
-    /// Byte offset into the input where the problem was found.
-    pub offset: usize,
-    /// The wire-format section being decoded.
-    pub context: Context,
-    /// What was malformed ("truncated", "bad cmp tag 9", …).
-    pub detail: String,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} at byte {} while decoding {}",
-            self.detail, self.offset, self.context
-        )
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 fn enc_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -615,168 +463,6 @@ fn enc_instr(out: &mut Vec<u8>, instr: &BInstr) {
             enc_u16(out, *target);
         }
     }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    context: Context,
-}
-
-impl<'a> Reader<'a> {
-    /// A [`DecodeError`] at byte `at`, in the current section.
-    fn fail_at(&self, at: usize, detail: impl Into<String>) -> DecodeError {
-        DecodeError {
-            offset: at,
-            context: self.context,
-            detail: detail.into(),
-        }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.at + n > self.bytes.len() {
-            return Err(self.fail_at(self.at, "truncated"));
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// Reads a one-byte tag and maps it through `decode`, failing with
-    /// `bad NAME tag T` at the tag's own offset.
-    fn tag<T>(
-        &mut self,
-        name: &str,
-        decode: impl FnOnce(u8) -> Option<T>,
-    ) -> Result<T, DecodeError> {
-        let at = self.at;
-        let t = self.u8()?;
-        decode(t).ok_or_else(|| self.fail_at(at, format!("bad {name} tag {t}")))
-    }
-}
-
-fn dec_cmp(r: &mut Reader) -> Result<Cmp, DecodeError> {
-    r.tag("cmp", |t| {
-        Some(match t {
-            0 => Cmp::Eq,
-            1 => Cmp::Ne,
-            2 => Cmp::Lt,
-            3 => Cmp::Le,
-            4 => Cmp::Gt,
-            5 => Cmp::Ge,
-            _ => return None,
-        })
-    })
-}
-
-fn dec_kind(r: &mut Reader) -> Result<RegKind, DecodeError> {
-    r.tag("kind", |t| {
-        Some(match t {
-            0 => RegKind::Plain,
-            1 => RegKind::OneBased,
-            2 => RegKind::ZeroIdx,
-            3 => RegKind::ScanSkipSelf,
-            4 => RegKind::ScanAll,
-            _ => return None,
-        })
-    })
-}
-
-fn dec_vref(r: &mut Reader) -> Result<VRef, DecodeError> {
-    match r.tag("vref", |t| (t <= 1).then_some(t))? {
-        0 => Ok(VRef::Direct(r.u32()?)),
-        _ => Ok(VRef::Indexed {
-            base: r.u32()?,
-            idx: r.u8()?,
-            off: r.i32()?,
-        }),
-    }
-}
-
-fn dec_operand(r: &mut Reader) -> Result<Operand, DecodeError> {
-    match r.tag("operand", |t| (t <= 2).then_some(t))? {
-        0 => Ok(Operand::Imm(r.u64()?)),
-        1 => Ok(Operand::Reg(r.u8()?)),
-        _ => Ok(Operand::RegOff(r.u8()?, r.i64()?)),
-    }
-}
-
-fn dec_instr(r: &mut Reader) -> Result<BInstr, DecodeError> {
-    let tag_at = r.at;
-    Ok(match r.u8()? {
-        0 => BInstr::Read {
-            var: dec_vref(r)?,
-            dst: r.u8()?,
-        },
-        1 => BInstr::ReadBr {
-            var: dec_vref(r)?,
-            cmp: dec_cmp(r)?,
-            rhs: dec_operand(r)?,
-            jt: r.u16()?,
-            jf: r.u16()?,
-        },
-        2 => BInstr::Write {
-            var: dec_vref(r)?,
-            val: dec_operand(r)?,
-        },
-        3 => BInstr::Cas {
-            var: dec_vref(r)?,
-            expected: dec_operand(r)?,
-            new: dec_operand(r)?,
-            ok_obs: r.u8()?,
-            fail_obs: r.u8()?,
-            ok: r.u16()?,
-            fail: r.u16()?,
-        },
-        4 => BInstr::Fence,
-        5 => BInstr::Enter,
-        6 => BInstr::Cs,
-        7 => BInstr::Exit,
-        8 => BInstr::Invoke {
-            op: r.u32()?,
-            arg: dec_operand(r)?,
-        },
-        9 => BInstr::Return {
-            src: dec_operand(r)?,
-        },
-        10 => BInstr::Halt,
-        11 => BInstr::Li {
-            dst: r.u8()?,
-            imm: r.u64()?,
-        },
-        12 => BInstr::Mov {
-            dst: r.u8()?,
-            src: r.u8()?,
-        },
-        13 => BInstr::Add {
-            dst: r.u8()?,
-            delta: r.i64()?,
-        },
-        14 => BInstr::Br {
-            a: dec_operand(r)?,
-            cmp: dec_cmp(r)?,
-            b: dec_operand(r)?,
-            target: r.u16()?,
-        },
-        15 => BInstr::Jmp { target: r.u16()? },
-        t => return Err(r.fail_at(tag_at, format!("bad instr tag {t}"))),
-    })
 }
 
 /// A forward-referencing label handle issued by [`Asm::label`].
@@ -1036,107 +722,5 @@ mod tests {
         let nowhere = a.label();
         a.jmp(nowhere);
         a.finish();
-    }
-
-    #[test]
-    fn encode_decode_round_trip_exercises_every_variant() {
-        let code = vec![
-            BInstr::Read {
-                var: VRef::Direct(3),
-                dst: 2,
-            },
-            BInstr::ReadBr {
-                var: VRef::Indexed {
-                    base: 1,
-                    idx: 4,
-                    off: -1,
-                },
-                cmp: Cmp::Ge,
-                rhs: Operand::Reg(5),
-                jt: 0,
-                jf: 7,
-            },
-            BInstr::Write {
-                var: VRef::Direct(0),
-                val: Operand::RegOff(3, -9),
-            },
-            BInstr::Cas {
-                var: VRef::Direct(2),
-                expected: Operand::Imm(0),
-                new: Operand::RegOff(1, 1),
-                ok_obs: 6,
-                fail_obs: DISCARD,
-                ok: 4,
-                fail: 1,
-            },
-            BInstr::Fence,
-            BInstr::Enter,
-            BInstr::Cs,
-            BInstr::Exit,
-            BInstr::Invoke {
-                op: 7,
-                arg: Operand::Imm(11),
-            },
-            BInstr::Return {
-                src: Operand::Reg(0),
-            },
-            BInstr::Halt,
-            BInstr::Li { dst: 1, imm: 99 },
-            BInstr::Mov { dst: 2, src: 1 },
-            BInstr::Add { dst: 2, delta: -3 },
-            BInstr::Br {
-                a: Operand::Reg(2),
-                cmp: Cmp::Lt,
-                b: Operand::Imm(4),
-                target: 11,
-            },
-            BInstr::Jmp { target: 0 },
-        ];
-        let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
-        kinds[0][2] = RegKind::OneBased;
-        kinds[1][4] = RegKind::ScanSkipSelf;
-        kinds[3][6] = RegKind::ZeroIdx;
-        kinds[4][0] = RegKind::ScanAll;
-        let mut init_regs = [0; NREGS];
-        init_regs[15] = 42;
-        let bc = Bytecode {
-            code,
-            init_regs,
-            recover_pc: Some(11),
-            sym: SymMode::Kinds(kinds),
-            me: 3,
-        };
-        assert_eq!(Bytecode::decode(&bc.encode()).unwrap(), bc);
-
-        let plain = Bytecode {
-            recover_pc: None,
-            sym: SymMode::Equivariant,
-            ..bc.clone()
-        };
-        assert_eq!(Bytecode::decode(&plain.encode()).unwrap(), plain);
-        let asym = Bytecode {
-            sym: SymMode::Asymmetric,
-            ..plain.clone()
-        };
-        assert_eq!(Bytecode::decode(&asym.encode()).unwrap(), asym);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let bc = Bytecode {
-            code: vec![BInstr::Halt],
-            init_regs: [0; NREGS],
-            recover_pc: None,
-            sym: SymMode::Equivariant,
-            me: 0,
-        };
-        let bytes = bc.encode();
-        assert!(Bytecode::decode(&bytes[..bytes.len() - 1]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(Bytecode::decode(&bad).is_err());
-        let mut extra = bytes;
-        extra.push(0);
-        assert!(Bytecode::decode(&extra).is_err());
     }
 }

@@ -89,7 +89,7 @@ pub use analysis::{contention, event_stats, spans, Contention, EventStats, Span}
 pub use awareness::AwSet;
 pub use buffer::WriteBuffer;
 pub use bytecode::{
-    Asm, BInstr, Bytecode, Cmp, DecodeError, Label, Operand, RegKind, SymMode, VRef, DISCARD, NREGS,
+    Asm, BInstr, Bytecode, Cmp, Label, Operand, RegKind, SymMode, VRef, DISCARD, NREGS,
 };
 pub use erase::{erase, EraseOutcome};
 pub use event::{Event, EventKind, ReadSource, SpecialKind};

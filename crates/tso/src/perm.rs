@@ -23,9 +23,12 @@
 //! Soundness note: a permutation may be *invalid for a particular state*
 //! (e.g. a scan in pid order whose prefix is not preserved, or an
 //! unwritten pid-valued variable whose initial value the permutation
-//! moves). Validity is intrinsic to the state, so every member of an
-//! orbit agrees on which renamings apply — an invalid permutation only
-//! loses reduction, never soundness — and the identity is always valid.
+//! moves), and the identity is always valid. Keys are orbit-invariant,
+//! but a renaming that is valid in one state need not commute with the
+//! transitions out of it: under canonical keys, `splitter`, `filter` and
+//! `dijkstra` can report `Pass` on an orbit that concrete keys report as
+//! a `Violation` (ROADMAP item 1). A per-state validity rule does not
+//! make the reduction sound; only a group of automorphisms does.
 
 use crate::ids::{ProcId, Value, VarId};
 use crate::machine::Directive;

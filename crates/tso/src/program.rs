@@ -81,10 +81,14 @@ pub trait Program: Send + ForkProgram {
     /// Returns `false` when the state is not expressible under `perm`
     /// (e.g. a pid-order scan whose prefix `perm` does not preserve) or
     /// when the program does not support symmetry at all — the default.
-    /// Returning `false` only forfeits reduction for this state; it is
-    /// never unsound. Returning `true` after hashing the *wrong* content
-    /// is unsound: only implement this after checking every field for
-    /// pid dependence.
+    /// Returning `true` after hashing the *wrong* content is unsound:
+    /// only implement this after checking every field for pid
+    /// dependence. Returning `false` in some states does not make the
+    /// reduction sound either: `splitter`, `filter` and `dijkstra` refuse
+    /// renamings mid-scan, yet under canonical keys they can report
+    /// `Pass` on an orbit that concrete keys report as a `Violation`,
+    /// because a renaming valid in one state need not commute with the
+    /// transitions out of it (ROADMAP item 1).
     fn state_hash_permuted(&self, perm: &Permutation, h: &mut dyn std::hash::Hasher) -> bool {
         let _ = (perm, h);
         false

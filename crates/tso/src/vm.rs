@@ -374,7 +374,9 @@ impl VmSystem {
         }
     }
 
-    /// The bytecode of process `pid` (round-trip tests read it back).
+    /// The bytecode of process `pid`. The checker reads it to size the
+    /// program (`vm.code_instrs`) and, through [`Bytecode::encode`], to
+    /// hash it into a checkpoint's fingerprint.
     pub fn bytecode(&self, pid: ProcId) -> &Arc<Bytecode> {
         &self.code[pid.index()]
     }

@@ -17,8 +17,9 @@
 #      then the swarm determinism pin across 1/2/4/8 worker threads
 #   6. the bytecode VM, timed: the VM-vs-native differential oracle
 #      (portfolio verdicts, witnesses and state counts pinned equal
-#      through `Execution::Compiled`) plus the per-step lockstep and
-#      encode/decode property tests
+#      through `Execution::Compiled`) plus the per-step lockstep
+#      property tests and the injectivity of the bytecode encoding that
+#      checkpoint fingerprints hash
 #   7. the scenario DSL corpus, timed: every `.tpa` under scenarios/
 #      judged by check_file (every pinned clause must hold), then the
 #      corpus golden tests — ten lock ports bit-identical and
@@ -53,7 +54,10 @@
 #      scenario stopped by a 400-transition budget on 2 threads
 #      checkpoints a real frontier (nodes below the root, rebuilt on
 #      resume by replaying their ranks) in the verdict phase, which the
-#      committed file resumes on 1 thread to the baseline's 778 states
+#      committed file resumes on 1 thread to the baseline's 778 states;
+#      last, a copy of the scenario with one instruction edited after
+#      the entry point (same initial state) must refuse the first
+#      checkpoint, naming the fingerprint's bytecode hash
 #  14. the benchmark package (examples/perf), which lies outside the
 #      workspace and so escapes stages 1, 2 and 15: clippy with warnings
 #      promoted to errors, its unit tests and a formatting check, all
@@ -273,6 +277,18 @@ t cargo run --offline --release -p tpa-check --bin check_file -- --threads 1 \
 cat "$SCRATCH/budget-resumed.txt"
 grep -q '\[resumed\] (778 states' "$SCRATCH/budget-resumed.txt" \
     || { echo "budget checkpoint did not resume to 778 states"; exit 1; }
+# A stale program: one comparison after the entry point edited, so the
+# initial state is the same and only the fingerprint's bytecode hash
+# tells the two programs apart. The resume must be refused on it.
+sed 's/if v >= l goto conflict/if v > l goto conflict/' scenarios/locks/filter.tpa > "$SCRATCH/filter-stale.tpa"
+grep -q 'if v > l goto conflict' "$SCRATCH/filter-stale.tpa" || { echo "stale edit did not apply"; exit 1; }
+if t cargo run --offline --release -p tpa-check --bin check_file -- \
+    --resume "$RESUME_FILE" "$SCRATCH/filter-stale.tpa" > "$SCRATCH/stale.txt" 2>&1; then
+    cat "$SCRATCH/stale.txt"; echo "resuming against an edited program must exit non-zero"; exit 1
+fi
+cat "$SCRATCH/stale.txt"
+grep -q 'the compiled bytecode hash differs' "$SCRATCH/stale.txt" \
+    || { echo "stale resume not refused on the bytecode hash"; exit 1; }
 
 echo "== [14/15] benchmark package: clippy, tests, fmt, replay self-check (perf check) =="
 PERF_MANIFEST=examples/perf/Cargo.toml

@@ -1,6 +1,7 @@
-//! Property tests for the bytecode VM: encode/decode round-trips over
-//! every compiled program the repo can produce, long random lockstep
-//! walks pinning the VM's per-step state against the native programs
+//! Property tests for the bytecode VM: the bytecode encoding the
+//! checkpoint fingerprint hashes is injective over every compiled program
+//! the repo can produce and their one-field edits, long random lockstep
+//! walks pin the VM's per-step state against the native programs
 //! (including crash/recovery and in-place erasure), and fork/step
 //! commutation.
 //!
@@ -18,13 +19,270 @@ use tpa::algos::testing::check_vm_lockstep;
 use tpa::prelude::*;
 use tpa::tso::sched::XorShift;
 use tpa::tso::scripted::{Instr, ScriptSystem};
-use tpa::tso::Bytecode;
+use tpa::tso::{BInstr, Bytecode, Cmp, Operand, RegKind, SymMode, VRef, DISCARD, NREGS};
 
-/// Every compiled program in the portfolio (plus the bakery variants and
-/// a lowered script) survives an encode → decode round-trip bit-exactly.
+/// Edits of `v` that each change one field or the variant.
+fn vrefs(v: VRef) -> Vec<VRef> {
+    let ix = |base, idx, off| VRef::Indexed { base, idx, off };
+    match v {
+        VRef::Direct(id) => vec![VRef::Direct(id ^ 1), ix(id, 0, 0)],
+        VRef::Indexed { base, idx, off } => vec![
+            ix(base ^ 1, idx, off),
+            ix(base, idx ^ 1, off),
+            ix(base, idx, off ^ 1),
+            VRef::Direct(base),
+        ],
+    }
+}
+
+/// Edits of `o` that each change one field or the variant.
+fn operands(o: Operand) -> Vec<Operand> {
+    match o {
+        Operand::Imm(x) => vec![Operand::Imm(x ^ 1), Operand::Reg(x as u8)],
+        Operand::Reg(r) => vec![Operand::Reg(r ^ 1), Operand::RegOff(r, 0)],
+        Operand::RegOff(r, off) => vec![
+            Operand::RegOff(r ^ 1, off),
+            Operand::RegOff(r, off ^ 1),
+            Operand::Reg(r),
+        ],
+    }
+}
+
+/// Instructions that differ from `instr` in exactly one operand, plus
+/// one of another variant.
+fn instr_edits(instr: BInstr) -> Vec<BInstr> {
+    use BInstr::*;
+    const CMPS: [Cmp; 6] = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
+    let next = |c| CMPS[(CMPS.iter().position(|&x| x == c).unwrap() + 1) % CMPS.len()];
+    let mut out = vec![if instr == Halt { Fence } else { Halt }];
+    match instr {
+        Read { var, dst } => {
+            out.extend(vrefs(var).into_iter().map(|var| Read { var, dst }));
+            out.push(Read { var, dst: dst ^ 1 });
+        }
+        ReadBr {
+            var,
+            cmp,
+            rhs,
+            jt,
+            jf,
+        } => {
+            let at = |var, cmp, rhs, jt, jf| ReadBr {
+                var,
+                cmp,
+                rhs,
+                jt,
+                jf,
+            };
+            out.extend(vrefs(var).into_iter().map(|v| at(v, cmp, rhs, jt, jf)));
+            out.extend(operands(rhs).into_iter().map(|r| at(var, cmp, r, jt, jf)));
+            out.push(at(var, next(cmp), rhs, jt, jf));
+            out.push(at(var, cmp, rhs, jt ^ 1, jf));
+            out.push(at(var, cmp, rhs, jt, jf ^ 1));
+        }
+        Write { var, val } => {
+            out.extend(vrefs(var).into_iter().map(|var| Write { var, val }));
+            out.extend(operands(val).into_iter().map(|val| Write { var, val }));
+        }
+        Cas {
+            var,
+            expected: e,
+            new: n,
+            ok_obs: oo,
+            fail_obs: fo,
+            ok,
+            fail,
+        } => {
+            let cas = |var, expected, new, ok_obs, fail_obs, ok, fail| Cas {
+                var,
+                expected,
+                new,
+                ok_obs,
+                fail_obs,
+                ok,
+                fail,
+            };
+            for v in vrefs(var) {
+                out.push(cas(v, e, n, oo, fo, ok, fail));
+            }
+            for x in operands(e) {
+                out.push(cas(var, x, n, oo, fo, ok, fail));
+            }
+            for x in operands(n) {
+                out.push(cas(var, e, x, oo, fo, ok, fail));
+            }
+            out.push(cas(var, e, n, oo ^ 1, fo, ok, fail));
+            out.push(cas(var, e, n, oo, fo ^ 1, ok, fail));
+            out.push(cas(var, e, n, oo, fo, ok ^ 1, fail));
+            out.push(cas(var, e, n, oo, fo, ok, fail ^ 1));
+        }
+        Fence | Enter | Cs | Exit | Halt => {}
+        Invoke { op, arg } => {
+            out.push(Invoke { op: op ^ 1, arg });
+            out.extend(operands(arg).into_iter().map(|arg| Invoke { op, arg }));
+        }
+        Return { src } => out.extend(operands(src).into_iter().map(|src| Return { src })),
+        Li { dst, imm } => {
+            let li = |dst, imm| Li { dst, imm };
+            out.extend([li(dst ^ 1, imm), li(dst, imm ^ 1)]);
+        }
+        Mov { dst, src } => out.extend([Mov { dst: dst ^ 1, src }, Mov { dst, src: src ^ 1 }]),
+        Add { dst, delta } => {
+            let add = |dst, delta| Add { dst, delta };
+            out.extend([add(dst ^ 1, delta), add(dst, delta ^ 1)]);
+        }
+        Br { a, cmp, b, target } => {
+            let br = |a, cmp, b, target| Br { a, cmp, b, target };
+            out.extend(operands(a).into_iter().map(|x| br(x, cmp, b, target)));
+            out.extend(operands(b).into_iter().map(|x| br(a, cmp, x, target)));
+            out.push(br(a, next(cmp), b, target));
+            out.push(br(a, cmp, b, target ^ 1));
+        }
+        Jmp { target } => out.push(Jmp { target: target ^ 1 }),
+    }
+    out
+}
+
+/// Bytecode that differs from `bc` in one instruction, the initial
+/// registers, the recovery entry point, the symmetry mode or `me`.
+fn one_field_edits(bc: &Bytecode) -> Vec<Bytecode> {
+    let mut out = Vec::new();
+    for (pc, &instr) in bc.code.iter().enumerate() {
+        for edit in instr_edits(instr) {
+            let mut e = bc.clone();
+            e.code[pc] = edit;
+            out.push(e);
+        }
+    }
+    let mut dropped = bc.clone();
+    dropped.code.pop();
+    out.push(dropped);
+    for r in 0..NREGS {
+        let mut e = bc.clone();
+        e.init_regs[r] = e.init_regs[r].wrapping_add(1);
+        out.push(e);
+    }
+    let recover = match bc.recover_pc {
+        None => vec![Some(0)],
+        Some(pc) => vec![None, Some(pc ^ 1)],
+    };
+    out.extend(recover.into_iter().map(|recover_pc| Bytecode {
+        recover_pc,
+        ..bc.clone()
+    }));
+    let mut syms = vec![
+        SymMode::Asymmetric,
+        SymMode::Equivariant,
+        SymMode::Kinds(vec![]),
+    ];
+    if let SymMode::Kinds(table) = &bc.sym {
+        for row in 0..table.len() {
+            let mut t = table.clone();
+            let kind = &mut t[row][row % NREGS];
+            *kind = if *kind == RegKind::Plain {
+                RegKind::OneBased
+            } else {
+                RegKind::Plain
+            };
+            syms.push(SymMode::Kinds(t));
+        }
+    }
+    out.extend(
+        syms.into_iter()
+            .filter(|s| *s != bc.sym)
+            .map(|sym| Bytecode { sym, ..bc.clone() }),
+    );
+    out.push(Bytecode {
+        me: bc.me + 1,
+        ..bc.clone()
+    });
+    out
+}
+
+/// A program that uses every instruction variant, operand kind and
+/// register kind, so the edits reach the ones no lock compiles to.
+fn every_variant() -> Bytecode {
+    let code = vec![
+        BInstr::Read {
+            var: VRef::Direct(3),
+            dst: 2,
+        },
+        BInstr::ReadBr {
+            var: VRef::Indexed {
+                base: 1,
+                idx: 4,
+                off: -1,
+            },
+            cmp: Cmp::Ge,
+            rhs: Operand::Reg(5),
+            jt: 0,
+            jf: 7,
+        },
+        BInstr::Write {
+            var: VRef::Direct(0),
+            val: Operand::RegOff(3, -9),
+        },
+        BInstr::Cas {
+            var: VRef::Direct(2),
+            expected: Operand::Imm(0),
+            new: Operand::RegOff(1, 1),
+            ok_obs: 6,
+            fail_obs: DISCARD,
+            ok: 4,
+            fail: 1,
+        },
+        BInstr::Fence,
+        BInstr::Enter,
+        BInstr::Cs,
+        BInstr::Exit,
+        BInstr::Invoke {
+            op: 7,
+            arg: Operand::Imm(11),
+        },
+        BInstr::Return {
+            src: Operand::Reg(0),
+        },
+        BInstr::Halt,
+        BInstr::Li { dst: 1, imm: 99 },
+        BInstr::Mov { dst: 2, src: 1 },
+        BInstr::Add { dst: 2, delta: -3 },
+        BInstr::Br {
+            a: Operand::Reg(2),
+            cmp: Cmp::Lt,
+            b: Operand::Imm(4),
+            target: 11,
+        },
+        BInstr::Jmp { target: 0 },
+    ];
+    let mut kinds = vec![[RegKind::Plain; NREGS]; code.len()];
+    kinds[0][2] = RegKind::OneBased;
+    kinds[1][4] = RegKind::ScanSkipSelf;
+    kinds[3][6] = RegKind::ZeroIdx;
+    kinds[4][0] = RegKind::ScanAll;
+    let mut init_regs = [0; NREGS];
+    init_regs[15] = 42;
+    Bytecode {
+        code,
+        init_regs,
+        recover_pc: Some(11),
+        sym: SymMode::Kinds(kinds),
+        me: 3,
+    }
+}
+
+/// The checkpoint fingerprint's code hash covers [`Bytecode::encode`],
+/// and nothing decodes those bytes, so what the hash can tell apart
+/// rests on the encoding being injective. Over every compiled program
+/// of the portfolio at n = 2, 3 and 4 (plus the bakery variants, a
+/// lowered script and a program using every variant), and over every
+/// one-field edit of each, two encodings are equal exactly when the
+/// `Bytecode` values are.
 #[test]
-fn bytecode_roundtrip_over_the_portfolio() {
-    let mut systems: Vec<Box<dyn System>> = tpa::algos::all_locks(3, 2);
+fn bytecode_encoding_is_injective_over_the_portfolio() {
+    let mut systems: Vec<Box<dyn System>> = Vec::new();
+    for n in [2, 3, 4] {
+        systems.extend(tpa::algos::all_locks(n, 2));
+    }
     systems.push(Box::new(BakeryLock::pso_hardened(3, 2)));
     systems.push(Box::new(BakeryLock::recoverable(2, 1)));
     systems.push(Box::new(BakeryLock::recoverable_without_doorway_fence(
@@ -50,31 +308,45 @@ fn bytecode_roundtrip_over_the_portfolio() {
             Instr::Halt,
         ]
     })));
+    let mut programs: Vec<(String, Bytecode)> = Vec::new();
     for sys in &systems {
         let vm = sys
             .compile_vm()
             .unwrap_or_else(|| panic!("{} has no compiler", sys.name()));
         for i in 0..sys.n() {
-            let bc = vm.bytecode(ProcId(i as u32));
-            let bytes = bc.encode();
-            let decoded = Bytecode::decode(&bytes)
-                .unwrap_or_else(|e| panic!("{} pid {i}: decode failed: {e}", sys.name()));
-            assert_eq!(
-                **bc,
-                decoded,
-                "{} pid {i}: round-trip changed the bytecode",
-                sys.name()
-            );
-            // Truncations must error, never panic or mis-decode.
-            for cut in [0, 4, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    Bytecode::decode(&bytes[..cut]).is_err(),
-                    "{} pid {i}: truncated decode at {cut} succeeded",
-                    sys.name()
-                );
-            }
+            let bc = (**vm.bytecode(ProcId(i as u32))).clone();
+            programs.push((format!("{} n = {} pid {i}", sys.name(), sys.n()), bc));
         }
     }
+    programs.push(("every variant".into(), every_variant()));
+    // Across programs: equal encodings only for equal bytecode.
+    let mut seen: HashMap<Vec<u8>, &(String, Bytecode)> = HashMap::new();
+    for entry in &programs {
+        let (what, bc) = entry;
+        assert_eq!(
+            bc.encode(),
+            bc.clone().encode(),
+            "{what}: encode is not deterministic"
+        );
+        if let Some((other, prev)) = seen.insert(bc.encode(), entry) {
+            assert_eq!(prev, bc, "{what} and {other} differ but encode equally");
+        }
+    }
+    // Within each program and its edits: equal encodings only for equal
+    // bytecode, and no edit encodes like the original.
+    let mut edits = 0;
+    for (what, bc) in &programs {
+        let mut by_bytes: HashMap<Vec<u8>, Bytecode> = HashMap::new();
+        by_bytes.insert(bc.encode(), bc.clone());
+        for edit in one_field_edits(bc) {
+            assert_ne!(&edit, bc, "{what}: an edit left the bytecode unchanged");
+            if let Some(prev) = by_bytes.insert(edit.encode(), edit.clone()) {
+                assert_eq!(prev, edit, "{what}: two different programs encode equally");
+            }
+            edits += 1;
+        }
+    }
+    assert!(edits > 10_000, "only {edits} edits checked");
 }
 
 /// 200-step random lockstep walks over the whole portfolio under both
