@@ -33,10 +33,10 @@ use tpa_obs::{EnvFingerprint, Ledger, Metrics, Probe, RunInfo, RunRecord, RunSum
 use tpa_tso::sched::XorShift;
 use tpa_tso::{Machine, MemoryModel, ProcId, SymmetryGroup, System, VmSystem};
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError, Fingerprint};
+use crate::checkpoint::{self, Checkpoint, CheckpointError, Derived, Fingerprint, SearchImage};
 use crate::explore::{enabled_all, ExploreConfig, IncompleteReason};
 use crate::invariant::{standard_invariants, Invariant};
-use crate::parallel::{run_exhaustive, CheckpointHooks, ResumeSeed, SnapshotData};
+use crate::parallel::{run_exhaustive, CheckpointHooks};
 use crate::swarm::{run_swarm, SwarmConfig};
 use crate::verdict::{condemn, Report, Verdict};
 
@@ -240,13 +240,39 @@ impl Search<'_> {
             None => self.native,
         }
     }
-}
 
-/// A checkpoint [`Checker::resume_from`] accepted, with the search it
-/// derived to accept it, which [`Checker::exhaustive`] then runs.
-struct Resume<'a> {
-    ckpt: Checkpoint,
-    search: Search<'a>,
+    /// What this derivation decided about the search under `model` and
+    /// a crash budget of `max_crashes`: which accelerators engaged, and
+    /// the hashes of the initial state and of the code. That costs an
+    /// initial machine, a VM compile when the search runs natively, and
+    /// an encode of every program, so only writing a checkpoint or
+    /// resuming one does it.
+    fn pin(&self, model: MemoryModel, max_crashes: u32) -> Derived {
+        let mut init = Machine::with_model(self.system(), model);
+        init.set_crash_budget(max_crashes);
+        // The code hash is taken from a VM compile even when the run
+        // itself interprets natively: the initial-state hash cannot see
+        // program text, so this is what catches a program edited since
+        // the snapshot. Systems that don't compile keep hash 0 and rely
+        // on the other fields.
+        let hash_of = |vm: &VmSystem| {
+            let mut bytes = Vec::new();
+            for p in 0..vm.n() {
+                bytes.extend(vm.bytecode(ProcId(p as u32)).encode());
+            }
+            checkpoint::fnv1a(&bytes)
+        };
+        let code_hash = match &self.compiled {
+            Some(vm) => hash_of(vm),
+            None => self.native.compile_vm().as_ref().map_or(0, hash_of),
+        };
+        Derived {
+            vm_engaged: self.compiled.is_some(),
+            symmetry_engaged: self.group.is_some(),
+            init_state_hash: init.state_hash(),
+            code_hash,
+        }
+    }
 }
 
 /// Configures and runs one check of one system; see the
@@ -268,7 +294,6 @@ pub struct Checker<'a> {
     features: Features,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: Option<u64>,
-    resume: Option<Resume<'a>>,
     probe: Option<Arc<dyn Probe>>,
     metrics: Option<Arc<Metrics>>,
     ledger: Option<PathBuf>,
@@ -291,7 +316,6 @@ impl<'a> Checker<'a> {
             features: Features::default(),
             checkpoint_dir: None,
             checkpoint_every: None,
-            resume: None,
             probe: None,
             metrics: None,
             ledger: None,
@@ -432,70 +456,84 @@ impl<'a> Checker<'a> {
     }
 
     /// Continues a checkpointed exhaustive search instead of starting
-    /// from the initial state. Loads and integrity-checks the file at
-    /// `path`, then behaves as [`Checker::resume_from`].
+    /// from the initial state: loads and integrity-checks the file at
+    /// `path`, then runs [`Checker::resume_from`].
     ///
     /// # Errors
     ///
     /// Everything [`Checkpoint::load`] and [`Checker::resume_from`] can
     /// reject: unreadable file, corruption (with offset diagnostics), or
     /// a checkpoint that does not belong to this search.
-    pub fn resume(self, path: &Path) -> Result<Self, CheckpointError> {
-        self.resume_from(Checkpoint::load(path)?)
+    pub fn resume(&self, path: &Path) -> Result<Report, CheckpointError> {
+        self.resume_from(&Checkpoint::load(path)?)
     }
 
-    /// Continues from an already-decoded [`Checkpoint`].
+    /// Continues the exhaustive search `ckpt` froze, as configured here,
+    /// and reports it as [`Checker::exhaustive`] does.
     ///
-    /// The checkpoint's fingerprint *imposes* the identity-shaping
-    /// configuration — memory model, step bound, crash budget, features —
-    /// so the resumed search explores the same space; knobs that only
-    /// decide when to stop (threads, deadline, transition budget, ledger,
-    /// periodic checkpointing) stay the caller's choice, and the
-    /// invariant battery must already be configured (it is part of the
-    /// fingerprint). A checkpoint of the witness search
-    /// ([`crate::SearchPhase::Witness`]) resumes on one thread whatever
-    /// [`Checker::threads`] says; one of the verdict search resumes on
-    /// the configured threads. The search derived here to check the
-    /// fingerprint is the one [`Checker::exhaustive`] runs, so the VM
-    /// compile and the symmetry validation walk happen once. Do not
-    /// change the imposed knobs afterwards: [`Checker::exhaustive`]
-    /// re-verifies the fingerprint and panics on a mismatch rather than
-    /// run an unsound search.
+    /// This checker's settings are the only configuration: the
+    /// checkpoint's fingerprint is *verified* against them, never
+    /// adopted. So the checker must be configured the way the
+    /// checkpoint's writer was — system, memory model, step bound,
+    /// crash budget, features and invariant battery. Those fields are
+    /// compared before anything is derived, so a checkpoint of another
+    /// search costs no VM compile and no symmetry walk. Knobs that only
+    /// decide when to stop (threads, deadline, transition budget,
+    /// ledger, checkpointing) are free to differ. A checkpoint of the
+    /// witness search ([`crate::SearchPhase::Witness`]) resumes on one
+    /// thread whatever [`Checker::threads`] says; one of the verdict
+    /// search resumes on the configured threads.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Incompatible`] naming the first mismatching
-    /// fingerprint field — a different system or battery, or a stale
-    /// checkpoint whose scenario has since been edited or recompiled —
-    /// or the first frontier node or violation candidate whose stored
-    /// position does not replay on this system.
-    pub fn resume_from(mut self, ckpt: Checkpoint) -> Result<Self, CheckpointError> {
-        let fp = &ckpt.fingerprint;
-        self.model = fp.model;
-        self.max_steps = Some(fp.max_steps as usize);
-        self.max_crashes = fp.max_crashes;
-        self.features = Features {
-            execution: if fp.execution_compiled {
-                Execution::Compiled
-            } else {
-                Execution::Native
-            },
-            keys: if fp.keys_canonical {
-                StateKeys::Canonical
-            } else {
-                StateKeys::Concrete
-            },
-        };
+    /// fingerprint field — a checker configured for another search, a
+    /// different system, or a stale checkpoint whose scenario has since
+    /// been edited or recompiled — or the first frontier node or
+    /// violation candidate whose stored position does not replay on
+    /// this system.
+    pub fn resume_from(&self, ckpt: &Checkpoint) -> Result<Report, CheckpointError> {
+        let config = self.explore_config();
+        if let Some(msg) = self.configured_mismatch(ckpt) {
+            return Err(CheckpointError::Incompatible(msg));
+        }
         let search = self.derive(self.features.keys);
-        let ours = self.fingerprint(&search, fp.max_steps as usize);
-        if let Some(msg) = ours
-            .mismatch(fp)
+        if let Some(msg) = self
+            .fingerprint(config.max_steps, search.pin(self.model, self.max_crashes))
+            .mismatch(&ckpt.fingerprint)
             .or_else(|| ckpt.replay_mismatch(search.system()))
         {
             return Err(CheckpointError::Incompatible(msg));
         }
-        self.resume = Some(Resume { ckpt, search });
-        Ok(self)
+        Ok(self.explore(config, search, Some(ckpt)))
+    }
+
+    /// The first field this checker configures — system, process count,
+    /// model, features, step bound, crash budget, battery — on which it
+    /// disagrees with `ckpt`'s fingerprint, as a diagnostic. It derives
+    /// nothing: the [`Derived`] fields are the checkpoint's own, so they
+    /// cannot differ, and a checkpoint of another search is refused
+    /// without a VM compile or a symmetry walk.
+    pub(crate) fn configured_mismatch(&self, ckpt: &Checkpoint) -> Option<String> {
+        let theirs = &ckpt.fingerprint;
+        self.fingerprint(self.step_bound(), theirs.derived.clone())
+            .mismatch(theirs)
+    }
+
+    /// The exhaustive search's step bound.
+    fn step_bound(&self) -> usize {
+        self.max_steps.unwrap_or(ExploreConfig::default().max_steps)
+    }
+
+    /// The exhaustive search's bounds. The deadline clock starts here,
+    /// before the search is derived.
+    fn explore_config(&self) -> ExploreConfig {
+        ExploreConfig {
+            max_steps: self.step_bound(),
+            max_transitions: self.max_transitions,
+            max_crashes: self.max_crashes,
+            deadline: self.deadline.map(|d| Instant::now() + d),
+        }
     }
 
     /// Derives what a check searches: the compiled system under
@@ -526,48 +564,23 @@ impl<'a> Checker<'a> {
         search
     }
 
-    /// The [`Fingerprint`] of `search` under a step bound of `max_steps`.
-    /// It pins the *derived* search identity — which accelerators
-    /// engaged, not just which were asked for — and costs an initial
-    /// machine, a VM compile when the search runs natively, and an
-    /// encode of every program, so only writing a checkpoint or resuming
-    /// one builds it.
-    fn fingerprint(&self, search: &Search, max_steps: usize) -> Fingerprint {
-        let mut init = Machine::with_model(search.system(), self.model);
-        init.set_crash_budget(self.max_crashes);
-        // The code hash is taken from a VM compile even when the run
-        // itself interprets natively: the initial-state hash cannot see
-        // program text, so this is what catches a program edited since
-        // the snapshot. Systems that don't compile keep hash 0 and rely
-        // on the other fields.
-        let hash_of = |vm: &VmSystem| {
-            let mut bytes = Vec::new();
-            for p in 0..vm.n() {
-                bytes.extend(vm.bytecode(ProcId(p as u32)).encode());
-            }
-            checkpoint::fnv1a(&bytes)
-        };
-        let code_hash = match &search.compiled {
-            Some(vm) => hash_of(vm),
-            None => search.native.compile_vm().as_ref().map_or(0, hash_of),
-        };
+    /// The [`Fingerprint`] of this checker's search under a step bound
+    /// of `max_steps`, where `derived` is what deriving it decided.
+    fn fingerprint(&self, max_steps: usize, derived: Derived) -> Fingerprint {
         Fingerprint {
-            system: search.native.name().to_string(),
-            n: search.native.n() as u32,
+            system: self.system.name().to_string(),
+            n: self.system.n() as u32,
             model: self.model,
             execution_compiled: self.features.execution == Execution::Compiled,
             keys_canonical: self.features.keys == StateKeys::Canonical,
-            vm_engaged: search.compiled.is_some(),
-            symmetry_engaged: search.group.is_some(),
             max_steps: max_steps as u64,
             max_crashes: self.max_crashes,
-            init_state_hash: init.state_hash(),
-            code_hash,
             invariants: self
                 .invariants
                 .iter()
                 .map(|i| i.name().to_owned())
                 .collect(),
+            derived,
         }
     }
 
@@ -577,34 +590,23 @@ impl<'a> Checker<'a> {
         self
     }
 
-    /// Adds one invariant to the battery.
-    pub fn invariant(mut self, invariant: Box<dyn Invariant>) -> Self {
-        self.invariants.push(invariant);
-        self
-    }
-
     /// Explores every schedule up to the bounds, in parallel if
     /// [`Checker::threads`] asked for it.
-    ///
-    /// # Panics
-    ///
-    /// When [`Checker::resume_from`] accepted a checkpoint but an
-    /// identity-shaping knob (model, bounds, features, battery) was
-    /// changed afterwards: resuming into a different search space would
-    /// be unsound, so the fingerprint is re-verified here.
-    pub fn exhaustive(mut self) -> Report {
-        let resume = self.resume.take();
-        let resumed_from = resume.as_ref().map(|r| r.ckpt.id().to_owned());
-        let config = ExploreConfig {
-            max_steps: self.max_steps.unwrap_or(ExploreConfig::default().max_steps),
-            max_transitions: self.max_transitions,
-            max_crashes: self.max_crashes,
-            deadline: self.deadline.map(|d| Instant::now() + d),
-        };
-        let (search, resume_ckpt) = match resume {
-            Some(Resume { ckpt, search }) => (search, Some(ckpt)),
-            None => (self.derive(self.features.keys), None),
-        };
+    pub fn exhaustive(self) -> Report {
+        let config = self.explore_config();
+        let search = self.derive(self.features.keys);
+        self.explore(config, search, None)
+    }
+
+    /// Runs the exhaustive search `search` under `config`, from the
+    /// initial state or from `resume`, a checkpoint whose fingerprint
+    /// [`Checker::resume_from`] verified.
+    fn explore(
+        &self,
+        config: ExploreConfig,
+        search: Search,
+        resume: Option<&Checkpoint>,
+    ) -> Report {
         let system = search.system();
         let group = search.group.as_ref();
         let registry = self.registry();
@@ -616,29 +618,13 @@ impl<'a> Checker<'a> {
                 m.counter("sym.fallbacks").incr();
             }
         }
-        // Only a checkpoint reads the fingerprint: one this run writes,
-        // or the one it resumes.
-        let fingerprint = (self.checkpoint_dir.is_some() || resume_ckpt.is_some())
-            .then(|| self.fingerprint(&search, config.max_steps));
-        let seed = resume_ckpt.map(|ckpt| {
-            let ours = fingerprint
-                .as_ref()
-                .expect("a resume builds the fingerprint");
-            if let Some(msg) = ours.mismatch(&ckpt.fingerprint) {
-                panic!(
-                    "checker reconfigured after resume_from(): {msg}; \
-                     resuming into a different search space would be unsound"
-                );
-            }
-            ResumeSeed {
-                phase: ckpt.phase,
-                counters: ckpt.counters,
-                candidate: ckpt.candidate,
-                frontier: ckpt.frontier,
-                cache: ckpt.cache,
-            }
+        // Only a checkpoint this run writes reads the fingerprint. A
+        // resumed checkpoint's fingerprint was verified equal to ours.
+        let fingerprint = self.checkpoint_dir.is_some().then(|| match resume {
+            Some(ckpt) => ckpt.fingerprint.clone(),
+            None => self.fingerprint(config.max_steps, search.pin(self.model, self.max_crashes)),
         });
-        let emit = |snap: SnapshotData| -> Option<(String, PathBuf)> {
+        let emit = |image: SearchImage| -> Option<(String, PathBuf)> {
             let (dir, fingerprint) = self.checkpoint_dir.as_ref().zip(fingerprint.as_ref())?;
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("[checkpoint] cannot create {}: {e}", dir.display());
@@ -647,11 +633,7 @@ impl<'a> Checker<'a> {
             let ckpt = Checkpoint {
                 id: checkpoint::fresh_id(),
                 fingerprint: fingerprint.clone(),
-                phase: snap.phase,
-                counters: snap.counters,
-                candidate: snap.candidate,
-                frontier: snap.frontier,
-                cache: snap.cache,
+                image,
             };
             let path = dir.join(format!("ckpt-{}.tpack", ckpt.id));
             match ckpt.save(&path) {
@@ -686,7 +668,7 @@ impl<'a> Checker<'a> {
             self.probe.as_deref(),
             group,
             registry.as_deref(),
-            seed,
+            resume.map(|ckpt| &ckpt.image),
             hooks.as_ref(),
         );
         let mut found = outcome.found;
@@ -778,7 +760,7 @@ impl<'a> Checker<'a> {
             config.max_steps,
             None,
             checkpoint_written.as_ref().map(|(id, _)| id.as_str()),
-            resumed_from.as_deref(),
+            resume.map(Checkpoint::id),
         );
         report
     }
@@ -789,19 +771,7 @@ impl<'a> Checker<'a> {
     /// the seed at any thread count. A schedule that panics (a buggy
     /// invariant or program) is contained by a per-schedule firewall and
     /// surfaces as [`Verdict::Incomplete`], never a process abort.
-    ///
-    /// # Panics
-    ///
-    /// When a checkpoint was loaded with [`Checker::resume`] /
-    /// [`Checker::resume_from`]: checkpoints capture exhaustive searches,
-    /// and silently dropping one to run random schedules instead would
-    /// misreport the resumed lineage.
     pub fn swarm(self, schedules: usize) -> Report {
-        assert!(
-            self.resume.is_none(),
-            "resume_from: checkpoints capture exhaustive searches; \
-             resuming into swarm mode is not supported"
-        );
         let config = SwarmConfig {
             schedules,
             max_steps: self.max_steps.unwrap_or(SwarmConfig::default().max_steps),

@@ -182,15 +182,27 @@ pub(crate) struct Fingerprint {
     pub execution_compiled: bool,
     /// Whether [`crate::StateKeys::Canonical`] was requested.
     pub keys_canonical: bool,
+    /// Schedule-length bound.
+    pub max_steps: u64,
+    /// Crash budget.
+    pub max_crashes: u32,
+    /// Names of the invariant battery, in battery order.
+    pub invariants: Vec<String>,
+    /// What deriving the search decided.
+    pub derived: Derived,
+}
+
+/// The [`Fingerprint`] fields that deriving the search decides, not the
+/// checker's configuration. Only `Search::pin` (in `checker.rs`) and
+/// [`Checkpoint::decode`] build one, so no fingerprint can be written
+/// without them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Derived {
     /// Whether the VM actually engaged (the system had a compiler).
     pub vm_engaged: bool,
     /// Whether symmetry reduction actually engaged (non-trivial group
     /// that survived validation).
     pub symmetry_engaged: bool,
-    /// Schedule-length bound.
-    pub max_steps: u64,
-    /// Crash budget.
-    pub max_crashes: u32,
     /// [`tpa_tso::Machine::state_hash`] of the initial state (with the
     /// crash budget applied) — catches a scenario whose programs changed
     /// since the checkpoint was written.
@@ -201,13 +213,13 @@ pub(crate) struct Fingerprint {
     /// flags a program edited since the snapshot. 0 when the system does
     /// not compile.
     pub code_hash: u64,
-    /// Names of the invariant battery, in battery order.
-    pub invariants: Vec<String>,
 }
 
 impl Fingerprint {
     /// The first field on which `self` (the resuming run) and `other`
-    /// (the checkpoint) disagree, as a human-readable diagnostic.
+    /// (the checkpoint) disagree, as a human-readable diagnostic: the
+    /// fields the checker configures come first, then the [`Derived`]
+    /// ones. `None` exactly when the two are equal.
     pub fn mismatch(&self, other: &Fingerprint) -> Option<String> {
         let field = |name: &str, a: &dyn fmt::Debug, b: &dyn fmt::Debug| {
             format!("{name} is {b:?} in the checkpoint but {a:?} here")
@@ -235,35 +247,11 @@ impl Fingerprint {
                 &other.keys_canonical,
             ));
         }
-        if self.vm_engaged != other.vm_engaged {
-            return Some(field("vm engagement", &self.vm_engaged, &other.vm_engaged));
-        }
-        if self.symmetry_engaged != other.symmetry_engaged {
-            return Some(field(
-                "symmetry engagement",
-                &self.symmetry_engaged,
-                &other.symmetry_engaged,
-            ));
-        }
         if self.max_steps != other.max_steps {
             return Some(field("max_steps", &self.max_steps, &other.max_steps));
         }
         if self.max_crashes != other.max_crashes {
             return Some(field("max_crashes", &self.max_crashes, &other.max_crashes));
-        }
-        if self.init_state_hash != other.init_state_hash {
-            return Some(
-                "the initial state hash differs — the scenario's programs or variables \
-                 changed since the checkpoint was written (stale checkpoint)"
-                    .to_owned(),
-            );
-        }
-        if self.code_hash != other.code_hash {
-            return Some(
-                "the compiled bytecode hash differs — the scenario was recompiled \
-                 since the checkpoint was written (stale checkpoint)"
-                    .to_owned(),
-            );
         }
         if self.invariants != other.invariants {
             return Some(field(
@@ -271,6 +259,31 @@ impl Fingerprint {
                 &self.invariants,
                 &other.invariants,
             ));
+        }
+        let (ours, theirs) = (&self.derived, &other.derived);
+        if ours.vm_engaged != theirs.vm_engaged {
+            return Some(field("vm engagement", &ours.vm_engaged, &theirs.vm_engaged));
+        }
+        if ours.symmetry_engaged != theirs.symmetry_engaged {
+            return Some(field(
+                "symmetry engagement",
+                &ours.symmetry_engaged,
+                &theirs.symmetry_engaged,
+            ));
+        }
+        if ours.init_state_hash != theirs.init_state_hash {
+            return Some(
+                "the initial state hash differs — the scenario's programs or variables \
+                 changed since the checkpoint was written (stale checkpoint)"
+                    .to_owned(),
+            );
+        }
+        if ours.code_hash != theirs.code_hash {
+            return Some(
+                "the compiled bytecode hash differs — the scenario was recompiled \
+                 since the checkpoint was written (stale checkpoint)"
+                    .to_owned(),
+            );
         }
         None
     }
@@ -330,6 +343,20 @@ pub(crate) struct CacheEntryData {
     pub rank: Vec<u32>,
 }
 
+/// A search frozen mid-flight: the phase, the cumulative counters
+/// (resume base included), the best violation candidate, the explicit
+/// frontier and the full state cache. The engine snapshots into one and
+/// resumes from one; a [`Checkpoint`] is one with an id and a
+/// fingerprint.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct SearchImage {
+    pub phase: SearchPhase,
+    pub counters: Counters,
+    pub candidate: Option<CandidateData>,
+    pub frontier: Vec<FrontierNode>,
+    pub cache: Vec<(u64, Vec<CacheEntryData>)>,
+}
+
 /// A frozen exhaustive search: load with [`Checkpoint::load`], hand to
 /// [`crate::Checker::resume_from`] to continue it. See the
 /// [module docs](crate::checkpoint) for the format and its guarantees.
@@ -339,11 +366,7 @@ pub struct Checkpoint {
     /// `checkpoint` / `resumed_from` lineage fields speak these ids.
     pub(crate) id: String,
     pub(crate) fingerprint: Fingerprint,
-    pub(crate) phase: SearchPhase,
-    pub(crate) counters: Counters,
-    pub(crate) candidate: Option<CandidateData>,
-    pub(crate) frontier: Vec<FrontierNode>,
-    pub(crate) cache: Vec<(u64, Vec<CacheEntryData>)>,
+    pub(crate) image: SearchImage,
 }
 
 impl Checkpoint {
@@ -364,30 +387,18 @@ impl Checkpoint {
 
     /// Which search was interrupted, and so which one a resume continues.
     pub fn phase(&self) -> SearchPhase {
-        self.phase
-    }
-
-    /// Frontier nodes awaiting expansion. Zero means the search had
-    /// already covered its whole space when the checkpoint was written;
-    /// resuming reproduces the finished verdict.
-    pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
-    }
-
-    /// Distinct states recorded in the visited-state cache.
-    pub fn cached_states(&self) -> usize {
-        self.cache.len()
+        self.image.phase
     }
 
     /// Machine transitions executed before the checkpoint.
     pub fn transitions(&self) -> u64 {
-        self.counters.transitions
+        self.image.counters.transitions
     }
 
     /// Whether a violation candidate was pending when the checkpoint was
     /// written.
     pub fn has_candidate(&self) -> bool {
-        self.candidate.is_some()
+        self.image.candidate.is_some()
     }
 
     /// The first stored position that does not belong to `system` (the
@@ -412,7 +423,7 @@ impl Checkpoint {
                     _ => true,
                 }
         };
-        for (i, node) in self.frontier.iter().enumerate() {
+        for (i, node) in self.image.frontier.iter().enumerate() {
             if !replays(&node.rank, &node.path) {
                 return Some(format!(
                     "frontier node {i}: rank {:?} does not replay to its stored path {:?}",
@@ -425,7 +436,7 @@ impl Checkpoint {
                 ));
             }
         }
-        let c = self.candidate.as_ref()?;
+        let c = self.image.candidate.as_ref()?;
         if !replays(&c.rank, &c.schedule) {
             return Some(format!(
                 "candidate: rank {:?} does not replay to its stored schedule {:?}",
@@ -467,19 +478,19 @@ impl Checkpoint {
             } else {
                 "concrete"
             },
-            vm = f.vm_engaged,
-            sym = f.symmetry_engaged,
+            vm = f.derived.vm_engaged,
+            sym = f.derived.symmetry_engaged,
             steps = f.max_steps,
             crashes = f.max_crashes,
             battery = f.invariants.join(", "),
-            phase = match self.phase {
+            phase = match self.image.phase {
                 SearchPhase::Verdict => "verdict (resumes at any thread count)",
                 SearchPhase::Witness => "witness (resumes on one thread)",
             },
-            tr = self.counters.transitions,
-            states = self.cache.len(),
-            front = self.frontier.len(),
-            cand = match &self.candidate {
+            tr = self.image.counters.transitions,
+            states = self.image.cache.len(),
+            front = self.image.frontier.len(),
+            cand = match &self.image.candidate {
                 Some(c) => c.invariant.as_str(),
                 None => "none",
             },
@@ -499,25 +510,25 @@ impl Checkpoint {
         });
         p.push(f.execution_compiled as u8);
         p.push(f.keys_canonical as u8);
-        p.push(f.vm_engaged as u8);
-        p.push(f.symmetry_engaged as u8);
+        p.push(f.derived.vm_engaged as u8);
+        p.push(f.derived.symmetry_engaged as u8);
         enc_u64(&mut p, f.max_steps);
         enc_u32(&mut p, f.max_crashes);
-        enc_u64(&mut p, f.init_state_hash);
-        enc_u64(&mut p, f.code_hash);
+        enc_u64(&mut p, f.derived.init_state_hash);
+        enc_u64(&mut p, f.derived.code_hash);
         enc_u32(&mut p, f.invariants.len() as u32);
         for name in &f.invariants {
             enc_str(&mut p, name);
         }
-        p.push(match self.phase {
+        p.push(match self.image.phase {
             SearchPhase::Verdict => 0,
             SearchPhase::Witness => 1,
         });
-        enc_u64(&mut p, self.counters.transitions);
-        enc_u64(&mut p, self.counters.pruned_sleep);
-        enc_u64(&mut p, self.counters.cache_skips);
-        enc_u64(&mut p, self.counters.truncated_paths);
-        match &self.candidate {
+        enc_u64(&mut p, self.image.counters.transitions);
+        enc_u64(&mut p, self.image.counters.pruned_sleep);
+        enc_u64(&mut p, self.image.counters.cache_skips);
+        enc_u64(&mut p, self.image.counters.truncated_paths);
+        match &self.image.candidate {
             None => p.push(0),
             Some(c) => {
                 p.push(1);
@@ -527,14 +538,14 @@ impl Checkpoint {
                 enc_directives(&mut p, &c.schedule);
             }
         }
-        enc_u32(&mut p, self.frontier.len() as u32);
-        for node in &self.frontier {
+        enc_u32(&mut p, self.image.frontier.len() as u32);
+        for node in &self.image.frontier {
             enc_ranks(&mut p, &node.rank);
             enc_directives(&mut p, &node.sleep);
             enc_directives(&mut p, &node.path);
         }
-        enc_u64(&mut p, self.cache.len() as u64);
-        for (key, entries) in &self.cache {
+        enc_u64(&mut p, self.image.cache.len() as u64);
+        for (key, entries) in &self.image.cache {
             enc_u64(&mut p, *key);
             enc_u32(&mut p, entries.len() as u32);
             for e in entries {
@@ -724,19 +735,23 @@ impl Checkpoint {
                 model,
                 execution_compiled,
                 keys_canonical,
-                vm_engaged,
-                symmetry_engaged,
                 max_steps,
                 max_crashes,
-                init_state_hash,
-                code_hash,
                 invariants,
+                derived: Derived {
+                    vm_engaged,
+                    symmetry_engaged,
+                    init_state_hash,
+                    code_hash,
+                },
             },
-            phase,
-            counters,
-            candidate,
-            frontier,
-            cache,
+            image: SearchImage {
+                phase,
+                counters,
+                candidate,
+                frontier,
+                cache,
+            },
         })
     }
 
@@ -1024,44 +1039,48 @@ mod tests {
                 model: MemoryModel::Pso,
                 execution_compiled: true,
                 keys_canonical: false,
-                vm_engaged: true,
-                symmetry_engaged: false,
                 max_steps: 40,
                 max_crashes: 1,
-                init_state_hash: 0xdead_beef,
-                code_hash: 0x1234,
                 invariants: vec!["mutual-exclusion".into(), "terminal-quiescence".into()],
+                derived: Derived {
+                    vm_engaged: true,
+                    symmetry_engaged: false,
+                    init_state_hash: 0xdead_beef,
+                    code_hash: 0x1234,
+                },
             },
-            phase: SearchPhase::Witness,
-            counters: Counters {
-                transitions: 1000,
-                pruned_sleep: 10,
-                cache_skips: 20,
-                truncated_paths: 3,
-            },
-            candidate: Some(CandidateData {
-                rank: vec![0, 2, 1],
-                invariant: "mutual-exclusion".into(),
-                detail: "two processes in cs".into(),
-                schedule: vec![
-                    Directive::Issue(ProcId(0)),
-                    Directive::CommitVar(ProcId(1), VarId(3)),
-                    Directive::Crash(ProcId(1)),
-                ],
-            }),
-            frontier: vec![FrontierNode {
-                rank: vec![1],
-                sleep: vec![Directive::Commit(ProcId(0))],
-                path: vec![Directive::Issue(ProcId(1))],
-            }],
-            cache: vec![(
-                7,
-                vec![CacheEntryData {
-                    sleep: vec![],
-                    depth: 1,
+            image: SearchImage {
+                phase: SearchPhase::Witness,
+                counters: Counters {
+                    transitions: 1000,
+                    pruned_sleep: 10,
+                    cache_skips: 20,
+                    truncated_paths: 3,
+                },
+                candidate: Some(CandidateData {
+                    rank: vec![0, 2, 1],
+                    invariant: "mutual-exclusion".into(),
+                    detail: "two processes in cs".into(),
+                    schedule: vec![
+                        Directive::Issue(ProcId(0)),
+                        Directive::CommitVar(ProcId(1), VarId(3)),
+                        Directive::Crash(ProcId(1)),
+                    ],
+                }),
+                frontier: vec![FrontierNode {
                     rank: vec![1],
+                    sleep: vec![Directive::Commit(ProcId(0))],
+                    path: vec![Directive::Issue(ProcId(1))],
                 }],
-            )],
+                cache: vec![(
+                    7,
+                    vec![CacheEntryData {
+                        sleep: vec![],
+                        depth: 1,
+                        rank: vec![1],
+                    }],
+                )],
+            },
         }
     }
 
@@ -1133,11 +1152,9 @@ mod tests {
         // The same image as version 1 wrote it: the payload without the
         // phase byte (the only payload byte the phase changes),
         // re-lengthed and re-checksummed.
-        let other = Checkpoint {
-            phase: SearchPhase::Verdict,
-            ..sample()
-        }
-        .encode();
+        let mut other = sample();
+        other.image.phase = SearchPhase::Verdict;
+        let other = other.encode();
         let phase_at = (HEADER_LEN..v2.len())
             .find(|&i| v2[i] != other[i])
             .expect("the phase byte differs");
@@ -1168,7 +1185,8 @@ mod tests {
             (SearchPhase::Verdict, "phase: verdict"),
             (SearchPhase::Witness, "phase: witness"),
         ] {
-            let ckpt = Checkpoint { phase, ..sample() };
+            let mut ckpt = sample();
+            ckpt.image.phase = phase;
             let back = Checkpoint::decode(&ckpt.encode()).expect("round trip");
             assert_eq!(back.phase(), phase);
             assert!(back.describe().contains(name), "{}", back.describe());
@@ -1183,7 +1201,7 @@ mod tests {
         let msg = a.mismatch(&b).expect("models differ");
         assert!(msg.contains("memory model"), "{msg}");
         let mut c = a.clone();
-        c.init_state_hash ^= 1;
+        c.derived.init_state_hash ^= 1;
         let msg = a.mismatch(&c).expect("hashes differ");
         assert!(msg.contains("stale"), "{msg}");
         assert_eq!(a.mismatch(&a.clone()), None);
@@ -1192,9 +1210,11 @@ mod tests {
     #[test]
     fn rank_lengths_that_disagree_are_corrupt() {
         let mut long_path = sample();
-        long_path.frontier[0].path.push(Directive::Issue(ProcId(0)));
+        long_path.image.frontier[0]
+            .path
+            .push(Directive::Issue(ProcId(0)));
         let mut deep_entry = sample();
-        deep_entry.cache[0].1[0].depth = 2;
+        deep_entry.image.cache[0].1[0].depth = 2;
         for (bad, section) in [(long_path, Section::Frontier), (deep_entry, Section::Cache)] {
             match Checkpoint::decode(&bad.encode()) {
                 Err(CheckpointError::Corrupt { section: s, .. }) => assert_eq!(s, section),
@@ -1238,22 +1258,25 @@ mod tests {
         };
         let real = Checkpoint::load(path).expect("load");
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(Checker::new(&sys).resume_from(real.clone()).is_ok());
+        let resume = |ckpt: &Checkpoint| Checker::new(&sys).max_steps(24).resume_from(ckpt);
+        assert!(resume(&real).is_ok());
 
         let issue = |p| Directive::Issue(ProcId(p));
         let node = |rank: Vec<u32>, sleep, path| FrontierNode { rank, sleep, path };
-        let with_frontier = |frontier| Checkpoint {
-            frontier: vec![frontier],
-            ..real.clone()
+        let with_frontier = |frontier| {
+            let mut ckpt = real.clone();
+            ckpt.image.frontier = vec![frontier];
+            ckpt
         };
-        let with_candidate = |rank, invariant: &str, schedule| Checkpoint {
-            candidate: Some(CandidateData {
+        let with_candidate = |rank, invariant: &str, schedule| {
+            let mut ckpt = real.clone();
+            ckpt.image.candidate = Some(CandidateData {
                 rank,
                 invariant: invariant.to_owned(),
                 detail: String::new(),
                 schedule,
-            }),
-            ..real.clone()
+            });
+            ckpt
         };
         let battery = real.fingerprint.invariants[0].as_str();
         let crafted = [
@@ -1288,8 +1311,12 @@ mod tests {
         ];
         for (what, ckpt) in crafted {
             let decoded = Checkpoint::decode(&ckpt.encode()).expect("well-formed");
-            match Checker::new(&sys).resume_from(decoded) {
-                Err(CheckpointError::Incompatible(_)) => {}
+            match resume(&decoded) {
+                // Refused on the stored positions, not on the fingerprint.
+                Err(CheckpointError::Incompatible(msg)) => assert!(
+                    msg.starts_with("frontier node") || msg.starts_with("candidate"),
+                    "{what}: {msg}"
+                ),
                 Err(other) => panic!("{what}: wrong error class: {other}"),
                 Ok(_) => panic!("{what}: resume_from accepted it"),
             }

@@ -58,7 +58,7 @@ use tpa_obs::{Metrics, Probe, WorkerSnapshot};
 use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
 
 use crate::cache::{Rank, StateCache};
-use crate::checkpoint::{CandidateData, Counters, FrontierNode};
+use crate::checkpoint::{CandidateData, Counters, FrontierNode, SearchImage};
 use crate::explore::{
     enabled_all_into, panic_message, replay, ExploreConfig, FoundViolation, IncompleteReason,
 };
@@ -94,18 +94,6 @@ pub enum SearchPhase {
     Witness,
 }
 
-/// The frozen image of a mid-flight search, handed to the checkpoint
-/// emitter: the phase, cumulative counters (resume base included), the
-/// best violation candidate, the explicit frontier and the full state
-/// cache.
-pub(crate) struct SnapshotData {
-    pub phase: SearchPhase,
-    pub counters: Counters,
-    pub candidate: Option<CandidateData>,
-    pub frontier: Vec<FrontierNode>,
-    pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
-}
-
 /// Checkpoint emission policy for one search. The engine freezes itself
 /// (workers quiesced, frontier explicit) and calls `emit`; whether and
 /// where bytes land is the caller's business — the closure returns the
@@ -116,19 +104,7 @@ pub(crate) struct CheckpointHooks<'a> {
     pub every: Option<u64>,
     /// Writes the snapshot; called only from the thread that called
     /// [`run_exhaustive`], never from workers.
-    #[allow(clippy::type_complexity)]
-    pub emit: &'a dyn Fn(SnapshotData) -> Option<(String, PathBuf)>,
-}
-
-/// A decoded checkpoint readied for [`run_exhaustive`]: the phase to
-/// continue, base counters to fold into reported stats, the candidate
-/// and frontier to seed, and the cache image to import.
-pub(crate) struct ResumeSeed {
-    pub phase: SearchPhase,
-    pub counters: Counters,
-    pub candidate: Option<CandidateData>,
-    pub frontier: Vec<FrontierNode>,
-    pub cache: Vec<(u64, Vec<crate::checkpoint::CacheEntryData>)>,
+    pub emit: &'a dyn Fn(SearchImage) -> Option<(String, PathBuf)>,
 }
 
 /// A run's cumulative counters: the resume `base` plus every worker's.
@@ -468,8 +444,8 @@ fn cache_coords(
 /// and off to identical witnesses and state counts. The returned
 /// [`WorkerStats`] are each worker's final counters, in worker order.
 ///
-/// `resume` seeds the search from a decoded checkpoint instead of the
-/// root, in the checkpoint's phase: the cache image is re-imported, the
+/// `resume` seeds the search from a checkpoint's image instead of the
+/// root, in the checkpoint's phase: the cache is re-imported, the
 /// candidate re-offered, and the frontier machines rebuilt by replaying
 /// their ranks. A witness-phase checkpoint resumes on one thread.
 /// `checkpoints` arms snapshotting: periodically every
@@ -490,7 +466,7 @@ pub(crate) fn run_exhaustive(
     probe: Option<&dyn Probe>,
     symmetry: Option<&SymmetryGroup>,
     metrics: Option<&Metrics>,
-    resume: Option<ResumeSeed>,
+    resume: Option<&SearchImage>,
     checkpoints: Option<&CheckpointHooks>,
 ) -> ExhaustiveOutcome {
     let threads = threads.max(1);
@@ -503,7 +479,7 @@ pub(crate) fn run_exhaustive(
     // stats but *not* into the budget clock, so `max_transitions` keeps
     // budgeting each leg rather than instantly re-aborting a resume.
     let (phase, base, start) = match resume {
-        Some(seed) => (seed.phase, seed.counters.clone(), Start::Resume(seed)),
+        Some(image) => (image.phase, image.counters.clone(), Start::Resume(image)),
         None => {
             // The initial state itself may violate (e.g. an empty program
             // that is terminal but not quiescent). A resumed search
@@ -530,7 +506,7 @@ pub(crate) fn run_exhaustive(
             } else {
                 SearchPhase::Verdict
             };
-            (phase, Counters::default(), Start::Root(root))
+            (phase, Counters::default(), Start::Root(Box::new(root)))
         }
     };
 
@@ -595,7 +571,7 @@ pub(crate) fn run_exhaustive(
         ..config.clone()
     };
     let mut witness = engine(SearchPhase::Witness, &rest, 1, verdict.workers).run(
-        Start::Root(root()),
+        Start::Root(Box::new(root())),
         &base,
         checkpoints,
     );
@@ -609,10 +585,10 @@ pub(crate) fn run_exhaustive(
     witness.outcome(&base)
 }
 
-/// Where a phase starts: the initial state, or a decoded checkpoint.
-enum Start {
-    Root(Machine),
-    Resume(ResumeSeed),
+/// Where a phase starts: the initial state, or a checkpoint's image.
+enum Start<'a> {
+    Root(Box<Machine>),
+    Resume(&'a SearchImage),
 }
 
 /// What one phase's engine leaves behind.
@@ -667,13 +643,13 @@ impl Engine<'_> {
                     .expect("work queue poisoned")
                     .queue
                     .push_back(Node {
-                        machine: root,
+                        machine: *root,
                         sleep: SleepSet::empty(),
                         depth: 0,
                         rank: root_rank,
                     });
             }
-            Start::Resume(seed) => self.seed_resume(seed),
+            Start::Resume(image) => self.seed_resume(image),
         }
 
         // The run loop: each iteration is one "leg" — spawn workers, let
@@ -776,8 +752,8 @@ impl Engine<'_> {
         }
     }
 
-    /// Seeds the engine from a decoded checkpoint: re-imports the cache
-    /// image, re-offers the violation candidate, and rebuilds each
+    /// Seeds the engine from a checkpoint's search image: re-imports the
+    /// cache, re-offers the violation candidate, and rebuilds each
     /// frontier machine by replaying its rank from the initial state
     /// (checkpoints store positions, not machine guts — the machine's own
     /// `step` is the deserialiser, so a checkpoint can never smuggle in a
@@ -788,8 +764,8 @@ impl Engine<'_> {
     /// [`crate::Checker::resume_from`] replays every rank and resolves
     /// the candidate first, so reaching either panic means the caller
     /// bypassed it.
-    fn seed_resume(&self, seed: ResumeSeed) {
-        for (key, entries) in &seed.cache {
+    fn seed_resume(&self, image: &SearchImage) {
+        for (key, entries) in &image.cache {
             for e in entries {
                 let mut sleep = SleepSet::empty();
                 for &d in &e.sleep {
@@ -807,7 +783,7 @@ impl Engine<'_> {
                 );
             }
         }
-        if let Some(c) = &seed.candidate {
+        if let Some(c) = &image.candidate {
             let invariant = self
                 .invariants
                 .iter()
@@ -829,7 +805,7 @@ impl Engine<'_> {
             });
         }
         let mut st = self.work.lock().expect("work queue poisoned");
-        for node in &seed.frontier {
+        for node in &image.frontier {
             let (machine, _) = replay(
                 self.system,
                 self.model,
@@ -866,7 +842,7 @@ impl Engine<'_> {
     /// The frozen search as checkpoint data. Callable only while workers
     /// are joined (`nodes` is the drained frontier); `base` is the resume
     /// base folded into the cumulative counters.
-    fn snapshot(&self, base: &Counters, nodes: &[Node]) -> SnapshotData {
+    fn snapshot(&self, base: &Counters, nodes: &[Node]) -> SearchImage {
         let mut frontier: Vec<FrontierNode> = nodes
             .iter()
             .map(|n| FrontierNode {
@@ -893,7 +869,7 @@ impl Engine<'_> {
             .worker_stats
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        SnapshotData {
+        SearchImage {
             phase: self.phase,
             counters: cumulative(base, &workers),
             candidate,

@@ -133,11 +133,14 @@ pub struct RunOptions {
     /// ([`Checker::checkpoint_every`]).
     pub checkpoint_every: Option<u64>,
     /// A checkpoint file to resume. The checkpoint's fingerprint decides
-    /// which clause it belongs to: each clause is offered the checkpoint
-    /// in order and the first whose search identity matches resumes from
-    /// it (the rest run fresh). [`run_checks_opts`] fails if no clause
-    /// accepts it — a stale or foreign checkpoint must not silently turn
-    /// into a from-scratch run.
+    /// which clause it belongs to: the first clause whose own
+    /// configuration — model, step bound, crash budget, battery,
+    /// features — matches the fingerprint resumes from it
+    /// ([`Checker::resume_from`]), and the rest run fresh.
+    /// [`run_checks_opts`] fails before any clause runs if no clause
+    /// matches, and fails at that clause if the program changed since —
+    /// a stale or foreign checkpoint must not silently turn into a
+    /// from-scratch run.
     pub resume: Option<PathBuf>,
 }
 
@@ -166,10 +169,11 @@ pub fn run_checks(scenario: &CompiledScenario, threads: usize) -> Vec<ClauseOutc
 /// # Errors
 ///
 /// Only resume can fail: an unreadable or corrupt
-/// [`RunOptions::resume`] checkpoint, or one whose fingerprint no clause
-/// of this scenario matches. The message carries the loader's diagnostic
-/// (offset and section for corruption, first mismatching field for a
-/// foreign checkpoint).
+/// [`RunOptions::resume`] checkpoint, one whose fingerprint no clause
+/// of this scenario is configured for, or one its clause refuses as
+/// stale or unreplayable. The message carries the diagnostic (offset
+/// and section for corruption, each clause's first mismatching field
+/// for a foreign checkpoint).
 pub fn run_checks_opts(
     scenario: &CompiledScenario,
     opts: &RunOptions,
@@ -194,68 +198,86 @@ pub fn run_checks_opts(
         .scenario_id
         .clone()
         .unwrap_or_else(|| scenario.name.clone());
-    let mut resume_slot = match &opts.resume {
-        Some(path) => Some(
-            Checkpoint::load(path)
-                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?,
-        ),
+    let checkers: Vec<Checker> = clauses
+        .iter()
+        .enumerate()
+        .map(|(index, clause)| {
+            let mut checker = Checker::new(&scenario.system)
+                .model(clause.model)
+                .threads(opts.threads)
+                .max_crashes(clause.crashes)
+                .features(Features {
+                    keys,
+                    ..Features::default()
+                })
+                .invariants(battery(scenario, clause.crashes))
+                .scenario_id(format!("{id_base}#{index}"));
+            if let Some(steps) = clause.steps {
+                checker = checker.max_steps(steps);
+            }
+            if let Some(budget) = clause.transitions {
+                checker = checker.max_transitions(budget);
+            }
+            if let Some(dir) = &opts.ledger {
+                checker = checker.ledger(dir.clone());
+            }
+            if let Some(m) = &opts.metrics {
+                checker = checker.metrics(m.clone());
+            }
+            if let Some(deadline) = opts.deadline {
+                checker = checker.deadline(deadline);
+            }
+            if let Some(dir) = &opts.checkpoint_dir {
+                checker = checker.checkpoint_dir(dir.clone());
+            }
+            if let Some(every) = opts.checkpoint_every {
+                checker = checker.checkpoint_every(every);
+            }
+            checker
+        })
+        .collect();
+    // The fingerprint decides ownership, before any clause runs. Clauses
+    // configured alike derive alike, so the first clause configured for
+    // the checkpoint's search is the only one that can resume it; the
+    // rest run fresh.
+    let resume = match &opts.resume {
+        Some(path) => {
+            let ckpt = Checkpoint::load(path)
+                .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
+            let mut rejections = Vec::new();
+            let owner = checkers.iter().position(|checker| {
+                let mismatch = checker.configured_mismatch(&ckpt);
+                if let Some(msg) = &mismatch {
+                    rejections.push(format!("clause #{}: {msg}", rejections.len()));
+                }
+                mismatch.is_none()
+            });
+            let Some(owner) = owner else {
+                return Err(format!(
+                    "checkpoint {} matches no clause of scenario `{}`:\n  {}",
+                    path.display(),
+                    scenario.name,
+                    rejections.join("\n  ")
+                ));
+            };
+            Some((owner, path, ckpt))
+        }
         None => None,
     };
-    let mut resume_rejections: Vec<String> = Vec::new();
-    let build_checker = |clause: &tpa_dsl::Check, index: usize| {
-        let mut checker = Checker::new(&scenario.system)
-            .model(clause.model)
-            .threads(opts.threads)
-            .max_crashes(clause.crashes)
-            .features(Features {
-                keys,
-                ..Features::default()
-            })
-            .invariants(battery(scenario, clause.crashes))
-            .scenario_id(format!("{id_base}#{index}"));
-        if let Some(steps) = clause.steps {
-            checker = checker.max_steps(steps);
-        }
-        if let Some(budget) = clause.transitions {
-            checker = checker.max_transitions(budget);
-        }
-        if let Some(dir) = &opts.ledger {
-            checker = checker.ledger(dir.clone());
-        }
-        if let Some(m) = &opts.metrics {
-            checker = checker.metrics(m.clone());
-        }
-        if let Some(deadline) = opts.deadline {
-            checker = checker.deadline(deadline);
-        }
-        if let Some(dir) = &opts.checkpoint_dir {
-            checker = checker.checkpoint_dir(dir.clone());
-        }
-        if let Some(every) = opts.checkpoint_every {
-            checker = checker.checkpoint_every(every);
-        }
-        checker
-    };
     let mut outcomes = Vec::with_capacity(clauses.len());
-    for (index, clause) in clauses.into_iter().enumerate() {
-        let mut checker = build_checker(&clause, index);
-        let mut resumed = false;
-        if let Some(ckpt) = resume_slot.take() {
-            // The fingerprint decides ownership: offer the checkpoint and
-            // keep it for the next clause when this one isn't its search.
-            match checker.resume_from(ckpt.clone()) {
-                Ok(c) => {
-                    checker = c;
-                    resumed = true;
-                }
-                Err(e) => {
-                    resume_rejections.push(format!("clause #{index}: {e}"));
-                    resume_slot = Some(ckpt);
-                    checker = build_checker(&clause, index);
-                }
+    for (index, (clause, checker)) in clauses.into_iter().zip(checkers).enumerate() {
+        let (report, resumed) = match &resume {
+            Some((owner, path, ckpt)) if *owner == index => {
+                let report = checker.resume_from(ckpt).map_err(|e| {
+                    format!(
+                        "cannot resume from {} in clause #{index}: {e}",
+                        path.display()
+                    )
+                })?;
+                (report, true)
             }
-        }
-        let report = checker.exhaustive();
+            _ => (checker.exhaustive(), false),
+        };
         let ok = matches!(
             (clause.expect, &report.verdict),
             (Expect::Pass, Verdict::Pass) | (Expect::Violation, Verdict::Violation { .. })
@@ -266,17 +288,6 @@ pub fn run_checks_opts(
             ok,
             resumed,
         });
-    }
-    if resume_slot.is_some() {
-        return Err(format!(
-            "checkpoint {} matches no clause of scenario `{}`:\n  {}",
-            opts.resume
-                .as_ref()
-                .expect("resume_slot only holds a checkpoint loaded from opts.resume")
-                .display(),
-            scenario.name,
-            resume_rejections.join("\n  ")
-        ));
     }
     Ok(outcomes)
 }
@@ -306,6 +317,136 @@ mod tests {
             outcomes[0].report.verdict,
             Verdict::Violation { .. }
         ));
+    }
+
+    /// SB with two clauses that differ only in their step bound. Within
+    /// 20 steps both processes can read 0, which the scenario forbids;
+    /// within 3 neither halts.
+    const SB_TWO_BOUNDS: &str = "
+        scenario sb
+        procs 2
+        var x
+        var y
+        proc 0 { reg a  x = 1  a = y  halt }
+        proc 1 { reg b  y = 1  b = x  halt }
+        forbid p0.a == 0 && p1.b == 0
+        check tso steps 20 expect pass
+        check tso steps 3 expect pass
+    ";
+
+    /// Checkpoints both clauses of [`SB_TWO_BOUNDS`] at a zero deadline
+    /// into a fresh directory; returns it and the 3-step clause's
+    /// checkpoint.
+    fn three_step_checkpoint(tag: &str) -> (PathBuf, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("tpa-scenario-resume-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scenario = tpa_dsl::compile(SB_TWO_BOUNDS).expect("compiles");
+        let outcomes = run_checks_opts(
+            &scenario,
+            &RunOptions {
+                threads: 1,
+                deadline: Some(std::time::Duration::ZERO),
+                checkpoint_dir: Some(dir.clone()),
+                ..RunOptions::default()
+            },
+        )
+        .expect("no resume requested");
+        let Verdict::Incomplete {
+            checkpoint: Some(path),
+            ..
+        } = &outcomes[1].report.verdict
+        else {
+            panic!("no checkpoint: {:?}", outcomes[1].report.verdict);
+        };
+        (dir, path.clone())
+    }
+
+    /// A checkpoint resumes only the clause configured for its search:
+    /// the 3-step clause's checkpoint is refused by the 20-step clause,
+    /// which runs fresh and finds the violation, and resumed by the
+    /// 3-step clause.
+    #[test]
+    fn a_checkpoint_resumes_only_the_clause_it_was_written_for() {
+        let (dir, path) = three_step_checkpoint("bounds");
+        let scenario = tpa_dsl::compile(SB_TWO_BOUNDS).expect("compiles");
+        let outcomes = run_checks_opts(
+            &scenario,
+            &RunOptions {
+                threads: 1,
+                resume: Some(path),
+                ..RunOptions::default()
+            },
+        )
+        .expect("the 3-step clause owns the checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let summaries: Vec<String> = outcomes.iter().map(ClauseOutcome::summary).collect();
+        assert!(!outcomes[0].resumed, "{summaries:?}");
+        assert!(!outcomes[0].ok, "{summaries:?}");
+        assert!(
+            matches!(outcomes[0].report.verdict, Verdict::Violation { .. }),
+            "{summaries:?}"
+        );
+        assert!(outcomes[1].resumed, "{summaries:?}");
+        assert!(outcomes[1].ok, "{summaries:?}");
+        assert!(outcomes[1].report.stats.complete, "{summaries:?}");
+    }
+
+    /// A checkpoint no clause is configured for fails the run before any
+    /// clause runs (none reaches the ledger), naming each clause's first
+    /// mismatching field.
+    #[test]
+    fn a_checkpoint_no_clause_matches_is_an_error() {
+        let (dir, path) = three_step_checkpoint("orphan");
+        let other_bound = SB_TWO_BOUNDS.replace("steps 3", "steps 4");
+        let scenario = tpa_dsl::compile(&other_bound).expect("compiles");
+        let ledger = dir.join("ledger");
+        let err = run_checks_opts(
+            &scenario,
+            &RunOptions {
+                threads: 1,
+                ledger: Some(ledger.clone()),
+                resume: Some(path),
+                ..RunOptions::default()
+            },
+        )
+        .err()
+        .expect("no clause has a 3-step bound");
+        let ran = ledger.exists();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!ran, "a clause ran before the checkpoint was refused");
+        assert!(err.contains("matches no clause"), "{err}");
+        assert!(
+            err.contains("clause #0: ") && err.contains("clause #1: "),
+            "{err}"
+        );
+        assert!(
+            err.contains("max_steps is 3 in the checkpoint but 4 here"),
+            "{err}"
+        );
+    }
+
+    /// A checkpoint whose clause is configured for it but whose program
+    /// has changed since fails the run at that clause as stale; it does
+    /// not run fresh.
+    #[test]
+    fn a_stale_checkpoint_fails_at_its_clause() {
+        let (dir, path) = three_step_checkpoint("stale");
+        let edited = SB_TWO_BOUNDS.replace("x = 1  a = y", "x = 2  a = y");
+        let scenario = tpa_dsl::compile(&edited).expect("compiles");
+        let err = run_checks_opts(
+            &scenario,
+            &RunOptions {
+                threads: 1,
+                resume: Some(path),
+                ..RunOptions::default()
+            },
+        )
+        .err()
+        .expect("the program changed since the checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.contains("in clause #1: "), "{err}");
+        assert!(err.contains("stale checkpoint"), "{err}");
     }
 
     #[test]

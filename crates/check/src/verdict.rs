@@ -30,9 +30,9 @@ pub enum Verdict {
         reason: String,
         /// Where the interrupted search was checkpointed, when
         /// checkpointing was configured ([`crate::Checker::checkpoint_dir`])
-        /// and the write succeeded. Feed it back through
-        /// [`crate::Checker::resume_from`] or `check_file --resume` to
-        /// continue the search instead of restarting it.
+        /// and the write succeeded. [`crate::Checker::resume`] on a
+        /// checker configured the way this one was, or `check_file
+        /// --resume`, continues the search instead of restarting it.
         checkpoint: Option<std::path::PathBuf>,
     },
     /// An invariant fired; the witness schedule was shrunk and rendered.

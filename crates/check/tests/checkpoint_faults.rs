@@ -10,8 +10,11 @@
 
 use std::path::PathBuf;
 
-use tpa_check::{Checker, Checkpoint, CheckpointError, FailpointWriter, Verdict, WriteFault};
+use tpa_check::{
+    Checker, Checkpoint, CheckpointError, FailpointWriter, Features, Verdict, WriteFault,
+};
 use tpa_tso::scripted::{Instr, ScriptSystem};
+use tpa_tso::MemoryModel;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -169,10 +172,12 @@ fn injected_write_faults_are_rejected_at_load() {
             Err(other) => panic!("{what} ({fault:?}): wrong error class: {other}"),
             Ok(_) => panic!("{what} ({fault:?}) was silently accepted"),
         }
-        // And the high-level entry point surfaces the same refusal.
+        // And the high-level entry point, configured as the writer was,
+        // surfaces the same refusal.
+        let resumed = Checker::new(&sys).max_steps(24).resume(&path);
         assert!(
-            Checker::new(&sys).resume(&path).is_err(),
-            "{what}: Checker::resume accepted a damaged checkpoint"
+            matches!(resumed, Err(CheckpointError::Corrupt { .. })),
+            "{what}: Checker::resume did not refuse a damaged checkpoint as corrupt"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -221,9 +226,9 @@ fn stale_program_is_incompatible() {
         ]
     });
     let err = Checker::new(&evolved)
+        .max_steps(24)
         .resume(&path)
-        .err()
-        .expect("a stale checkpoint must be refused");
+        .expect_err("a stale checkpoint must be refused");
     let CheckpointError::Incompatible(msg) = &err else {
         panic!("wrong error class: {err}");
     };
@@ -255,9 +260,9 @@ fn foreign_shape_is_incompatible() {
         ]
     });
     let err = Checker::new(&wider)
+        .max_steps(24)
         .resume(&path)
-        .err()
-        .expect("a foreign checkpoint must be refused");
+        .expect_err("a foreign checkpoint must be refused");
     assert!(
         matches!(err, CheckpointError::Incompatible(_)),
         "wrong error class: {err}"
@@ -288,18 +293,61 @@ fn mismatched_battery_is_incompatible() {
         .find(|p| p.extension().is_some_and(|x| x == "tpack"))
         .expect("checkpoint written");
     let err = Checker::new(&sys)
+        .max_steps(24)
         .invariants(vec![Box::new(Nothing)])
         .resume(&path)
-        .err()
-        .expect("a different battery must be refused");
+        .expect_err("a different battery must be refused");
     let CheckpointError::Incompatible(msg) = &err else {
         panic!("wrong error class: {err}");
     };
     assert!(
-        msg.contains("invariant"),
+        msg.starts_with("invariant battery"),
         "diagnostic should name the battery mismatch: {msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checker's settings are the only configuration: a checkpoint is
+/// verified against them, never adopted. A checker that differs from
+/// the writer in one configured field — memory model, step bound, crash
+/// budget, execution or state keys — is refused with that field named
+/// (the battery is `mismatched_battery_is_incompatible`'s case), and
+/// the writer's own configuration, the control, resumes.
+#[test]
+fn each_configured_field_is_verified_not_adopted() {
+    let sys = store_buffer();
+    let (ckpt, dir) = real_checkpoint(&sys, "identity");
+    let _ = std::fs::remove_dir_all(&dir);
+    let writer = || Checker::new(&sys).max_steps(24);
+    assert!(
+        writer().resume_from(&ckpt).is_ok(),
+        "the writer's configuration must resume its checkpoint"
+    );
+    let changed: [(&str, Checker); 5] = [
+        ("memory model", writer().model(MemoryModel::Pso)),
+        ("max_steps", writer().max_steps(25)),
+        ("max_crashes", writer().max_crashes(1)),
+        (
+            "execution",
+            writer().features(Features::default().compiled()),
+        ),
+        (
+            "state keys",
+            writer().features(Features::default().canonical()),
+        ),
+    ];
+    for (field, checker) in changed {
+        match checker.resume_from(&ckpt) {
+            Err(CheckpointError::Incompatible(msg)) => {
+                assert!(msg.starts_with(field), "{field}: {msg}");
+            }
+            Err(other) => panic!("{field}: wrong error class: {other}"),
+            Ok(report) => panic!(
+                "{field} changed, yet the checkpoint resumed to {:?}",
+                report.verdict
+            ),
+        }
+    }
 }
 
 /// Loading a file that is not there, or not a checkpoint at all, is an

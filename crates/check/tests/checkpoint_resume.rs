@@ -55,10 +55,9 @@ fn drive<'a>(mut report: Report, make: &dyn Fn(usize) -> Checker<'a>) -> (Report
                 legs += 1;
                 assert!(legs < 64, "resume chain did not converge in 64 legs");
                 let path = path.clone();
-                let checker = make(legs)
+                report = make(legs)
                     .resume(&path)
                     .expect("a search's own checkpoint must be compatible with it");
-                report = checker.exhaustive();
             }
             Verdict::Incomplete {
                 reason,
@@ -318,7 +317,7 @@ fn interrupted_witness_search_never_passes() {
         chain,
         "the verdict search's transitions"
     );
-    let resumed = make(2).resume(path).expect("compatible").exhaustive();
+    let resumed = make(2).resume(path).expect("compatible");
     assert_identical(&control, &resumed, "witness-phase resume");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -578,10 +577,10 @@ fn periodic_checkpoints_are_resumable_and_non_perturbing() {
     );
     let resume_from = |path: &Path| {
         let report = Checker::new(lock.as_ref())
+            .max_steps(40)
             .threads(4)
             .resume(path)
-            .expect("periodic snapshot must be compatible")
-            .exhaustive();
+            .expect("periodic snapshot must be compatible");
         assert_identical(&control, &report, "tas resumed from a periodic snapshot");
         report
     };
@@ -651,37 +650,5 @@ fn ledger_records_resume_lineage() {
     let full = ledger.load(&index[1].id).expect("load resumed record");
     assert_eq!(full.resumed_from, index[0].checkpoint);
     assert_eq!(full.stats.get("fallback_schedules"), Some(&0));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Changing an identity-shaping knob after `resume_from` accepted the
-/// checkpoint must be caught: `exhaustive()` re-verifies the fingerprint
-/// and refuses to run an unsound search.
-#[test]
-fn reconfiguring_a_resumed_checker_is_rejected() {
-    let sys = store_buffer();
-    let dir = scratch("reconfig");
-    let report = Checker::new(&sys)
-        .max_steps(24)
-        .max_transitions(40)
-        .checkpoint_dir(&*dir)
-        .exhaustive();
-    let Verdict::Incomplete {
-        checkpoint: Some(path),
-        ..
-    } = &report.verdict
-    else {
-        panic!("budget must interrupt and checkpoint");
-    };
-    let reconfigured = Checker::new(&sys)
-        .resume(path)
-        .expect("checkpoint is compatible as-is")
-        .max_steps(30); // silently exploring a different space — forbidden
-    let panicked =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reconfigured.exhaustive()));
-    assert!(
-        panicked.is_err(),
-        "a reconfigured resumed checker must refuse to run"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

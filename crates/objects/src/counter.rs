@@ -88,10 +88,6 @@ struct FetchInc {
 }
 
 impl OpMachine for FetchInc {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);
@@ -138,10 +134,6 @@ struct ReadOnce {
 }
 
 impl OpMachine for ReadOnce {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.done.hash(&mut h);

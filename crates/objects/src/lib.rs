@@ -45,7 +45,7 @@ pub(crate) mod testutil;
 pub use counter::CasCounter;
 pub use locked::LockedCounter;
 pub use object_system::{ObjectSystem, OpCall};
-pub use opmachine::{OpMachine, SharedObject, SubStep, EMPTY};
+pub use opmachine::{ForkOpMachine, OpMachine, SharedObject, SubStep, EMPTY};
 pub use queue::ArrayQueue;
 pub use reduction::OneTimeMutex;
 pub use stack::TreiberStack;

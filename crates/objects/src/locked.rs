@@ -112,10 +112,6 @@ struct LockedFetchInc {
 }
 
 impl OpMachine for LockedFetchInc {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);
@@ -180,10 +176,6 @@ struct LockedRead {
 }
 
 impl OpMachine for LockedRead {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

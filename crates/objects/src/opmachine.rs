@@ -35,7 +35,7 @@ pub enum SubStep {
 /// `Send` mirrors the [`tpa_tso::Program: Send`](tpa_tso::Program)
 /// supertrait: fragments live inside programs that cross the parallel
 /// explorer's worker threads.
-pub trait OpMachine: Send {
+pub trait OpMachine: Send + ForkOpMachine {
     /// The next shared-memory operation (never a transition, `Invoke`,
     /// `Return` or `Halt`).
     fn peek(&self) -> Op;
@@ -43,15 +43,26 @@ pub trait OpMachine: Send {
     /// Advances with the outcome of the peeked operation.
     fn apply(&mut self, outcome: Outcome) -> SubStep;
 
-    /// Snapshots the fragment mid-operation. Required so a containing
-    /// [`tpa_tso::Program`] can implement `Program::fork` for the
-    /// `tpa-check` schedule explorer.
-    fn fork(&self) -> Box<dyn OpMachine>;
-
     /// Hashes the fragment's behavioural state (control location plus any
     /// live locals). Same contract as [`tpa_tso::Program::state_hash`]:
     /// under-hashing makes explorer pruning unsound.
     fn state_hash(&self, h: &mut dyn std::hash::Hasher);
+}
+
+/// Snapshots of an [`OpMachine`] mid-operation, so that a containing
+/// [`tpa_tso::Program`] can fork for the `tpa-check` schedule explorer.
+///
+/// It is implemented once, for every `OpMachine + Clone + 'static`: a
+/// fragment is forked by cloning it.
+pub trait ForkOpMachine {
+    /// A behaviourally identical copy in the same state.
+    fn fork(&self) -> Box<dyn OpMachine>;
+}
+
+impl<M: OpMachine + Clone + 'static> ForkOpMachine for M {
+    fn fork(&self) -> Box<dyn OpMachine> {
+        Box::new(self.clone())
+    }
 }
 
 /// An implemented shared object: variable layout plus operation factory.

@@ -150,10 +150,6 @@ struct Dequeue {
 }
 
 impl OpMachine for Dequeue {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);
@@ -234,10 +230,6 @@ struct Enqueue {
 }
 
 impl OpMachine for Enqueue {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

@@ -153,10 +153,6 @@ struct Pop {
 }
 
 impl OpMachine for Pop {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);
@@ -236,10 +232,6 @@ struct Push {
 }
 
 impl OpMachine for Push {
-    fn fork(&self) -> Box<dyn OpMachine> {
-        Box::new(self.clone())
-    }
-
     fn state_hash(&self, mut h: &mut dyn std::hash::Hasher) {
         use std::hash::Hash;
         self.state.hash(&mut h);

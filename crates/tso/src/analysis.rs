@@ -1,4 +1,4 @@
-//! Post-hoc execution analysis: contention gauges and event statistics.
+//! Post-hoc execution analysis: passage spans and contention gauges.
 //!
 //! The paper distinguishes three contention measures for a passage `𝒫`
 //! (Section 1):
@@ -115,60 +115,6 @@ pub fn contention(log: &[Event], span: Span) -> Contention {
     }
 }
 
-/// Aggregate event statistics of an execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventStats {
-    /// Total events.
-    pub events: usize,
-    /// Reads served from memory.
-    pub memory_reads: usize,
-    /// Reads served from the issuer's own buffer.
-    pub buffer_reads: usize,
-    /// Writes issued into buffers.
-    pub issues: usize,
-    /// Write commits.
-    pub commits: usize,
-    /// Completed fences (`EndFence`).
-    pub fences: usize,
-    /// CAS operations.
-    pub cas: usize,
-    /// Critical events.
-    pub criticals: usize,
-    /// Transition events (`Enter`/`CS`/`Exit`/`Invoke`/`Return`).
-    pub transitions: usize,
-}
-
-/// Computes aggregate event statistics for a log.
-pub fn event_stats(log: &[Event]) -> EventStats {
-    let mut s = EventStats {
-        events: log.len(),
-        ..EventStats::default()
-    };
-    for e in log {
-        match e.kind {
-            EventKind::Read {
-                source: crate::event::ReadSource::Memory,
-                ..
-            } => {
-                s.memory_reads += 1;
-            }
-            EventKind::Read { .. } => s.buffer_reads += 1,
-            EventKind::IssueWrite { .. } => s.issues += 1,
-            EventKind::CommitWrite { .. } => s.commits += 1,
-            EventKind::EndFence => s.fences += 1,
-            EventKind::Cas { .. } => s.cas += 1,
-            _ => {}
-        }
-        if e.critical {
-            s.criticals += 1;
-        }
-        if e.is_transition() {
-            s.transitions += 1;
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,41 +214,5 @@ mod tests {
         assert_eq!(sp[0].end, None);
         let c = contention(m.log(), sp[0]);
         assert_eq!(c.interval, 2);
-    }
-
-    #[test]
-    fn event_stats_classify_all_kinds() {
-        let sys = ScriptSystem::new(1, 2, |_| {
-            vec![
-                Instr::Enter,
-                Instr::Write { var: 0, value: 1 },
-                Instr::Read { var: 0, reg: 0 }, // buffer read
-                Instr::Read { var: 1, reg: 1 }, // memory read (critical)
-                Instr::Fence,
-                Instr::Cas {
-                    var: 1,
-                    expected: 0,
-                    new: 2,
-                    success_reg: 2,
-                },
-                Instr::Cs,
-                Instr::Exit,
-                Instr::Halt,
-            ]
-        });
-        let mut m = Machine::new(&sys);
-        while m.peek_next(ProcId(0)) != crate::machine::NextEvent::Halted {
-            m.step(Directive::Issue(ProcId(0))).unwrap();
-        }
-        let s = event_stats(m.log());
-        assert_eq!(s.buffer_reads, 1);
-        assert_eq!(s.memory_reads, 1);
-        assert_eq!(s.issues, 1);
-        assert_eq!(s.commits, 1);
-        assert_eq!(s.fences, 1);
-        assert_eq!(s.cas, 1);
-        assert_eq!(s.transitions, 3);
-        assert!(s.criticals >= 2);
-        assert_eq!(s.events, m.log().len());
     }
 }

@@ -120,12 +120,6 @@ impl CacheDir {
         }
     }
 
-    /// Returns `true` if `p` holds a valid write-through copy of `var`
-    /// (exposed for tests and diagnostics).
-    pub fn wt_holds(&self, p: ProcId, var: VarId) -> bool {
-        self.lines[var.index()].wt.contains(&p)
-    }
-
     /// Returns `true` if `p` holds any write-back copy of `var`.
     pub fn wb_holds(&self, p: ProcId, var: VarId) -> bool {
         let line = &self.lines[var.index()];

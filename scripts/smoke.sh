@@ -55,9 +55,13 @@
 #      checkpoints a real frontier (nodes below the root, rebuilt on
 #      resume by replaying their ranks) in the verdict phase, which the
 #      committed file resumes on 1 thread to the baseline's 778 states;
-#      last, a copy of the scenario with one instruction edited after
+#      then a copy of the scenario with one instruction edited after
 #      the entry point (same initial state) must refuse the first
-#      checkpoint, naming the fingerprint's bytecode hash
+#      checkpoint, naming the fingerprint's bytecode hash, and a copy
+#      with the step bound cut from 60 to 50 must refuse it, naming
+#      max_steps; last, of the two checkpoints a 0 ms deadline writes
+#      for the MP litmus, the pso clause's resumes the pso clause and
+#      no other
 #  14. the benchmark package (examples/perf), which lies outside the
 #      workspace and so escapes stages 1, 2 and 15: clippy with warnings
 #      promoted to errors, its unit tests and a formatting check, all
@@ -289,6 +293,43 @@ fi
 cat "$SCRATCH/stale.txt"
 grep -q 'the compiled bytecode hash differs' "$SCRATCH/stale.txt" \
     || { echo "stale resume not refused on the bytecode hash"; exit 1; }
+# A differently configured clause: the same scenario with its step bound
+# cut from 60 to 50 must refuse the 60-step checkpoint, naming the bound,
+# not resume it under the new one.
+sed 's/check tso steps 60/check tso steps 50/' scenarios/locks/filter.tpa > "$SCRATCH/filter-50.tpa"
+grep -q 'check tso steps 50' "$SCRATCH/filter-50.tpa" || { echo "bound edit did not apply"; exit 1; }
+if t cargo run --offline --release -p tpa-check --bin check_file -- \
+    --resume "$RESUME_FILE" "$SCRATCH/filter-50.tpa" > "$SCRATCH/bound.txt" 2>&1; then
+    cat "$SCRATCH/bound.txt"; echo "resuming under another step bound must exit non-zero"; exit 1
+fi
+cat "$SCRATCH/bound.txt"
+grep -q 'matches no clause' "$SCRATCH/bound.txt" && grep -q 'max_steps' "$SCRATCH/bound.txt" \
+    || { echo "a checkpoint of another step bound was not refused on max_steps"; exit 1; }
+# Each clause resumes only its own checkpoint. A 0 ms deadline
+# checkpoints both clauses of the MP litmus; its pso clause's checkpoint
+# must be resumed by the pso clause alone, while the tso clause refuses
+# it (another memory model) and runs fresh to its expected pass.
+if t cargo run --offline --release -p tpa-check --bin check_file -- --deadline-ms 0 \
+    --checkpoint-dir "$SCRATCH/ckpt-mp" scenarios/litmus/mp.tpa > "$SCRATCH/mp.txt"; then
+    cat "$SCRATCH/mp.txt"; echo "deadline-interrupted MP run must exit non-zero"; exit 1
+fi
+cat "$SCRATCH/mp.txt"
+PSO_FILE=""
+for f in "$SCRATCH"/ckpt-mp/*.tpack; do
+    t cargo run --offline --release -p tpa-bench --bin obs_validate -- --checkpoint "$f" \
+        > "$SCRATCH/mp-ckpt.txt"
+    if grep -q 'system: mp (n = 2, Pso)' "$SCRATCH/mp-ckpt.txt"; then
+        PSO_FILE="$f"
+    fi
+done
+test -s "$PSO_FILE" || { echo "no pso checkpoint written by the MP run"; exit 1; }
+t cargo run --offline --release -p tpa-check --bin check_file -- \
+    --resume "$PSO_FILE" scenarios/litmus/mp.tpa > "$SCRATCH/mp-resumed.txt"
+cat "$SCRATCH/mp-resumed.txt"
+grep -q '^  pso expect violation .. ok \[resumed\]' "$SCRATCH/mp-resumed.txt" \
+    || { echo "the pso clause did not resume its checkpoint"; exit 1; }
+[ "$(grep -c '\[resumed\]' "$SCRATCH/mp-resumed.txt")" = 1 ] \
+    || { echo "a clause other than pso resumed the pso checkpoint"; exit 1; }
 
 echo "== [14/15] benchmark package: clippy, tests, fmt, replay self-check (perf check) =="
 PERF_MANIFEST=examples/perf/Cargo.toml
