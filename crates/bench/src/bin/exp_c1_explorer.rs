@@ -21,38 +21,26 @@
 use std::sync::Arc;
 
 use tpa_bench::{c1, obs, report};
-use tpa_check::{Features, Verdict};
+use tpa_check::Verdict;
 use tpa_obs::Probe;
 
 fn main() {
     let recorder = obs::probe_from_env();
     let probe: Option<Arc<dyn Probe>> = recorder.clone().map(|r| r as Arc<dyn Probe>);
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or(1)
-        .max(1);
+    let (quick, threads) = tpa_bench::quick_and_threads();
     let sizes: &[(usize, usize)] = if quick {
         &[(2, 40)]
     } else {
         &[(2, 60), (3, 40)]
     };
 
-    let rows = c1::portfolio_rows(sizes, threads, probe.as_ref());
-    c1::print_table(
-        "C1: bounded-exhaustive explorer effort (TSO, 1 passage)",
-        &rows,
-    );
-    report::maybe_write_json("c1_explorer", rows.as_slice());
+    let rows = c1::run(sizes, threads, probe.as_ref());
+    report::maybe_write_json("c1_explorer", &rows, c1::CheckRow::json);
 
     // The negative control: a lock with a dropped fence must be caught
     // and the counterexample must shrink to a short schedule.
     let broken = tpa_algos::sim::bakery::BakeryLock::without_doorway_fence(2, 1);
-    let report = c1::check(&broken, 60, threads, Features::default(), probe.as_ref());
+    let report = tpa_bench::checker(&broken, 60, threads, probe.as_ref()).exhaustive();
     match &report.verdict {
         Verdict::Violation {
             invariant,

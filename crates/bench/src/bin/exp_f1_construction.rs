@@ -20,7 +20,7 @@ fn main() {
 
     let recorder = obs::probe_from_env();
     let probe: Option<Arc<dyn Probe>> = recorder.clone().map(|r| r as Arc<dyn Probe>);
-    let out = match tpa_bench::construction_outcome_probed(&algo, n, rounds, true, probe) {
+    let out = match tpa_bench::f1(&algo, n, rounds, probe) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("error: {e}");
@@ -28,68 +28,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-
-    println!(
-        "algorithm: {} | n = {} | stop: {}",
-        out.algorithm, out.n, out.stop
-    );
-    println!(
-        "rounds completed: {} | fences forced: {} | final contention: {} | blocked erased: {}",
-        out.rounds_completed(),
-        out.fences_forced(),
-        out.total_contention,
-        out.blocked_erased
-    );
-
-    let rows: Vec<Vec<String>> = out
-        .phases
-        .iter()
-        .map(|p| {
-            vec![
-                p.round.to_string(),
-                p.label.clone(),
-                p.case_taken.clone(),
-                p.act_before.to_string(),
-                p.act_after.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        "F1: inductive construction trace (Figure 1)",
-        &["round", "phase", "case", "|Act| before", "|Act| after"],
-        &rows,
-    );
-
-    let round_rows: Vec<Vec<String>> = out
-        .rounds
-        .iter()
-        .map(|r| {
-            vec![
-                r.round.to_string(),
-                r.read_iters.to_string(),
-                r.write_iters.to_string(),
-                r.reg_criticals.to_string(),
-                r.criticals_per_active.to_string(),
-                r.act_start.to_string(),
-                r.act_end.to_string(),
-                r.finisher.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        "F1: per-round summary (H_i conditions)",
-        &[
-            "i",
-            "s (read)",
-            "t (write)",
-            "m (reg)",
-            "l_i",
-            "|Act| start",
-            "|Act| end",
-            "finisher",
-        ],
-        &round_rows,
-    );
-    report::maybe_write_json("F1", &out.rounds);
+    report::maybe_write_json("F1", &out.rounds, tpa_bench::round_json);
     obs::finish(&recorder);
 }

@@ -27,23 +27,11 @@ use tpa_tso::Directive;
 fn main() {
     let recorder = obs::probe_from_env();
     let probe: Option<Arc<dyn Probe>> = recorder.clone().map(|r| r as Arc<dyn Probe>);
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or(1)
-        .max(1);
+    let (quick, threads) = tpa_bench::quick_and_threads();
     let max_steps = if quick { 28 } else { 40 };
 
-    let rows = r1::portfolio_rows(2, max_steps, threads, probe.as_ref());
-    r1::print_table(
-        "R1: crash-fault model (TSO, n = 2, crash-extended battery)",
-        &rows,
-    );
-    report::maybe_write_json("r1_crash", rows.as_slice());
+    let rows = r1::run(2, max_steps, threads, probe.as_ref());
+    report::maybe_write_json("r1_crash", &rows, r1::CrashRow::json);
 
     // Zero-budget rows must be complete and must not have needed the
     // fault model (sanity for the state-space-preservation claim).

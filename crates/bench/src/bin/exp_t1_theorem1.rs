@@ -5,10 +5,9 @@
 //! worst-case analytic lower bound (in `ln`; negative = vacuous), plus
 //! the Theorem 1 witness: fences forced at total contention `i + 1`.
 //!
-//! Usage: `exp_t1_theorem1 [rounds]` (default 10).
+//! Usage: `exp_t1_theorem1 [rounds]` (default 14).
 
-use tpa_bench::obs;
-use tpa_bench::report::{self, fmt_f64};
+use tpa_bench::{obs, report};
 use tpa_obs::Probe;
 
 fn main() {
@@ -21,69 +20,8 @@ fn main() {
         r.mark(&format!("exp_t1: portfolio sweep, max_rounds={rounds}"));
     }
 
-    // Scan-based locks make the construction O(n²): cap their sizes.
-    let fast: &[&str] = &["tournament", "splitter", "ticketq", "mcs", "ttas"];
-    let slow: &[&str] = &["bakery", "filter", "onebit", "dijkstra", "tas"];
-    let fast_ns = [64usize, 256, 1024, 4096];
-    let slow_ns = [16usize, 64, 256];
-    let mut rows = tpa_bench::t1_rows(fast, &fast_ns, rounds);
-    rows.extend(tpa_bench::t1_rows(slow, &slow_ns, rounds));
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algo.clone(),
-                r.n.to_string(),
-                r.round.to_string(),
-                r.act_measured.to_string(),
-                fmt_f64(r.theorem3_ln_bound),
-                r.criticals_per_active.to_string(),
-                r.read_iters.to_string(),
-                r.write_iters.to_string(),
-                r.reg_criticals.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        "T1: construction vs Theorem 3 (ln bound < 0 means vacuous at this N)",
-        &[
-            "algo",
-            "N",
-            "i",
-            "|Act(H_i)|",
-            "ln bound",
-            "l_i",
-            "s",
-            "t",
-            "m",
-        ],
-        &table,
-    );
-
-    // Witness summary per algorithm/N.
-    let mut summary = Vec::new();
-    for (algos, ns) in [(fast, &fast_ns[..]), (slow, &slow_ns[..])] {
-        for algo in algos {
-            for &n in ns.iter() {
-                let per: Vec<_> = rows
-                    .iter()
-                    .filter(|r| r.algo == *algo && r.n == n)
-                    .collect();
-                if per.is_empty() {
-                    continue;
-                }
-                let forced = per.iter().take_while(|r| r.act_measured >= 1).count();
-                summary.push(vec![(*algo).to_owned(), n.to_string(), forced.to_string()]);
-            }
-        }
-    }
-    report::print_table(
-        "T1: Theorem 1 witnesses — fences forced in a single passage",
-        &["algo", "N", "fences forced (contention = fences + 1)"],
-        &summary,
-    );
-    report::maybe_write_json("T1", &rows);
+    let rows = tpa_bench::t1(&tpa_bench::T1_FAST_NS, &tpa_bench::T1_SLOW_NS, rounds);
+    report::maybe_write_json("T1", &rows, tpa_bench::T1Row::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t1: {} rows", rows.len()));
     }

@@ -11,8 +11,7 @@
 
 use std::sync::Arc;
 
-use tpa_bench::obs;
-use tpa_bench::report::{self, fmt_f64};
+use tpa_bench::{obs, report};
 use tpa_obs::Probe;
 
 fn main() {
@@ -23,61 +22,12 @@ fn main() {
     let recorder = obs::probe_from_env();
     let probe: Option<Arc<dyn Probe>> = recorder.clone().map(|r| r as Arc<dyn Probe>);
 
-    let log2_ns: Vec<f64> = (3..=20).map(|j| (1u64 << j) as f64).collect();
-    let rows = tpa_bench::t2_rows(c, &log2_ns);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("2^{}", r.log2_n),
-                fmt_f64(r.loglog),
-                r.max_feasible_i.to_string(),
-                fmt_f64(r.guaranteed_point),
-                fmt_f64(r.max_feasible_i as f64 / r.loglog),
-            ]
-        })
-        .collect();
-    report::print_table(
-        &format!("T2: Corollary 2 — f(i) = {c}·i forces Ω(log log N) fences"),
-        &[
-            "N",
-            "log2 log2 N",
-            "max feasible i",
-            "(1/3c)·loglog",
-            "i / loglog",
-        ],
-        &table,
+    let rows = tpa_bench::t2(
+        c,
+        &tpa_bench::pow2s(tpa_bench::T2_JS),
+        &tpa_bench::T2_CHECK_NS,
+        probe.as_ref(),
     );
-
-    // Small-N executable cross-check: the construction on a real adaptive
-    // read/write lock lives in the same regime as the analytic frontier.
-    let mut check = Vec::new();
-    for n in [16usize, 64, 256, 1024] {
-        if let Some(p) = &probe {
-            p.mark(&format!("exp_t2: cross-check splitter n={n}"));
-        }
-        if let Ok(out) =
-            tpa_bench::construction_outcome_probed("splitter", n, 12, false, probe.clone())
-        {
-            let ln_n = (n as f64).ln();
-            let analytic = tpa_adversary::bounds::max_feasible_i(
-                ln_n,
-                tpa_adversary::Adaptivity::Linear { c },
-                64,
-            );
-            check.push(vec![
-                n.to_string(),
-                out.fences_forced().to_string(),
-                analytic.to_string(),
-            ]);
-        }
-    }
-    report::print_table(
-        "T2: small-N cross-check (construction on the splitter lock)",
-        &["N", "fences forced (measured)", "analytic frontier"],
-        &check,
-    );
-    report::maybe_write_json("T2", &rows);
+    report::maybe_write_json("T2", &rows, tpa_bench::CorollaryRow::json);
     obs::finish(&recorder);
 }

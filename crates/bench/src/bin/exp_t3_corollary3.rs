@@ -6,8 +6,7 @@
 //!
 //! Usage: `exp_t3_corollary3 [c]` (default 1).
 
-use tpa_bench::obs;
-use tpa_bench::report::{self, fmt_f64};
+use tpa_bench::{obs, report};
 use tpa_obs::Probe;
 
 fn main() {
@@ -20,28 +19,8 @@ fn main() {
         r.mark(&format!("exp_t3: analytic sweep, c={c}"));
     }
 
-    // log2 N = 2^j: each step of j adds one to log log N, so the triple
-    // log crawls — exactly the separation from T2.
-    let log2_ns: Vec<f64> = (3..=40).step_by(2).map(|j| (1u64 << j) as f64).collect();
-    let rows = tpa_bench::t3_rows(c, &log2_ns);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("2^{}", r.log2_n),
-                fmt_f64(r.loglog),
-                r.max_feasible_i.to_string(),
-                fmt_f64(r.guaranteed_point),
-            ]
-        })
-        .collect();
-    report::print_table(
-        &format!("T3: Corollary 3 — f(i) = 2^({c}·i) forces Ω(log log log N) fences"),
-        &["N", "log2 log2 log2 N", "max feasible i", "(1/c)(llln - 1)"],
-        &table,
-    );
-    report::maybe_write_json("T3", &rows);
+    let rows = tpa_bench::t3(c, &tpa_bench::pow2s(tpa_bench::T3_JS));
+    report::maybe_write_json("T3", &rows, tpa_bench::CorollaryRow::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t3: {} rows", rows.len()));
     }

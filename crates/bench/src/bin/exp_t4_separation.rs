@@ -12,8 +12,7 @@
 //!
 //! Usage: `exp_t4_separation [n]` (default 64).
 
-use tpa_bench::obs;
-use tpa_bench::report::{self, fmt_f64};
+use tpa_bench::{obs, report};
 use tpa_obs::Probe;
 
 fn main() {
@@ -26,53 +25,8 @@ fn main() {
         r.mark(&format!("exp_t4: contention sweep, n={n}"));
     }
 
-    let algos: &[&str] = &[
-        "tas",
-        "ttas",
-        "ticketq",
-        "mcs",
-        "bakery",
-        "filter",
-        "onebit",
-        "tournament",
-        "dijkstra",
-        "splitter",
-    ];
-    let ks: Vec<usize> = [1usize, 2, 4, 8, 16, 32, 64]
-        .iter()
-        .copied()
-        .filter(|k| *k <= n)
-        .collect();
-    let rows = tpa_bench::t4_rows(algos, n, &ks);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algo.clone(),
-                r.k.to_string(),
-                r.fences_max.to_string(),
-                fmt_f64(r.fences_avg),
-                r.rmr_dsm_max.to_string(),
-                r.rmr_wb_max.to_string(),
-                r.point_contention.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        &format!("T4: per-passage complexity vs contention k (n = {n}, lazy commits)"),
-        &[
-            "algo",
-            "k",
-            "fences max",
-            "fences avg",
-            "RMR dsm max",
-            "RMR wb max",
-            "point cont.",
-        ],
-        &table,
-    );
-    report::maybe_write_json("T4", &rows);
+    let rows = tpa_bench::t4(n, &tpa_bench::T4_KS);
+    report::maybe_write_json("T4", &rows, tpa_bench::T4Row::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t4: {} rows", rows.len()));
     }

@@ -16,38 +16,8 @@ fn main() {
     if let Some(r) = &recorder {
         r.mark("exp_t5: lemma 9 reduction sweep");
     }
-    let rows = tpa_bench::t5_rows(&[1, 2, 4, 8, 16, 32]);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.object.clone(),
-                r.n.to_string(),
-                r.bare_fences.to_string(),
-                r.mutex_fences.to_string(),
-                r.fence_gap.to_string(),
-                r.bare_rmr.to_string(),
-                r.mutex_rmr.to_string(),
-                r.rmr_gap.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        "T5: Lemma 9 — bare object op vs Algorithm 1 passage (worst case per span)",
-        &[
-            "object",
-            "N",
-            "op fences",
-            "mutex fences",
-            "gap",
-            "op RMR",
-            "mutex RMR",
-            "RMR gap",
-        ],
-        &table,
-    );
-    report::maybe_write_json("T5", &rows);
+    let rows = tpa_bench::t5(&tpa_bench::T5_NS);
+    report::maybe_write_json("T5", &rows, tpa_bench::T5Row::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t5: {} rows", rows.len()));
     }

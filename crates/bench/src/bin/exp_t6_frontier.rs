@@ -16,44 +16,8 @@ fn main() {
     if let Some(r) = &recorder {
         r.mark("exp_t6: feasibility frontier");
     }
-    let log2_ns: Vec<f64> = [
-        8.0,
-        16.0,
-        64.0,
-        256.0,
-        1024.0,
-        4096.0,
-        65_536.0,
-        1_048_576.0,
-    ]
-    .to_vec();
-    let rows = tpa_bench::t6_rows(&log2_ns);
-
-    // Pivot: families × N.
-    let mut families: Vec<String> = rows.iter().map(|r| r.family.clone()).collect();
-    families.dedup();
-    let mut table = Vec::new();
-    for family in &families {
-        let mut row = vec![family.clone()];
-        for &log2_n in &log2_ns {
-            let v = rows
-                .iter()
-                .find(|r| &r.family == family && r.log2_n == log2_n)
-                .map(|r| r.max_feasible_i.to_string())
-                .unwrap_or_default();
-            row.push(v);
-        }
-        table.push(row);
-    }
-    let mut headers: Vec<String> = vec!["adaptivity".into()];
-    headers.extend(log2_ns.iter().map(|l| format!("N=2^{l}")));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    report::print_table(
-        "T6: forced fences across the adaptivity landscape",
-        &header_refs,
-        &table,
-    );
-    report::maybe_write_json("T6", &rows);
+    let rows = tpa_bench::t6(&tpa_bench::T6_LOG2_NS);
+    report::maybe_write_json("T6", &rows, tpa_bench::T6Row::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t6: {} rows", rows.len()));
     }

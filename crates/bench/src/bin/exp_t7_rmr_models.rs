@@ -22,38 +22,8 @@ fn main() {
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t7: RMR accounting sweep, n={n}"));
     }
-    let algos: &[&str] = &[
-        "tas",
-        "ttas",
-        "ticketq",
-        "mcs",
-        "bakery",
-        "filter",
-        "onebit",
-        "tournament",
-        "dijkstra",
-        "splitter",
-    ];
-    let rows = tpa_bench::t7_rows(algos, n, &[1, 4, 16, 32]);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algo.clone(),
-                r.k.to_string(),
-                r.rmr_dsm.to_string(),
-                r.rmr_wt.to_string(),
-                r.rmr_wb.to_string(),
-                r.events.to_string(),
-            ]
-        })
-        .collect();
-    report::print_table(
-        &format!("T7: worst per-passage RMRs under the three accounting models (n = {n})"),
-        &["algo", "k", "DSM", "CC-WT", "CC-WB", "events"],
-        &table,
-    );
-    report::maybe_write_json("T7", &rows);
+    let rows = tpa_bench::t7(n, &tpa_bench::T7_KS);
+    report::maybe_write_json("T7", &rows, tpa_bench::T7Row::json);
     if let Some(r) = &recorder {
         r.mark(&format!("exp_t7: {} rows", rows.len()));
     }

@@ -23,6 +23,17 @@ use std::process::ExitCode;
 
 use tpa_obs::{json, schema, MetricsSnapshot};
 
+/// `println!` for a stdout whose reader may leave early
+/// (`obs_validate --checkpoint F | head -1`): a failed write is dropped
+/// instead of panicking, so every file is still validated and the exit
+/// status is the one an open stdout would give.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: obs_validate <run.jsonl> [trace.json]\n       obs_validate --record|--corpus|--metrics|--checkpoint FILE..."
@@ -39,7 +50,7 @@ fn validate_checkpoints(files: &[String]) -> ExitCode {
     }
     for path in files {
         match tpa_check::Checkpoint::load(std::path::Path::new(path)) {
-            Ok(ckpt) => println!("{path}: OK — {}", ckpt.describe()),
+            Ok(ckpt) => out!("{path}: OK — {}", ckpt.describe()),
             Err(e) => {
                 eprintln!("obs_validate: {path}: {e}");
                 return ExitCode::FAILURE;
@@ -64,7 +75,7 @@ fn validate_files(files: &[String], check: impl Fn(&str) -> Result<String, Strin
             }
         };
         match check(&raw) {
-            Ok(line) => println!("{path}: OK — {line}"),
+            Ok(line) => out!("{path}: OK — {line}"),
             Err(e) => {
                 eprintln!("obs_validate: {path}: {e}");
                 return ExitCode::FAILURE;
@@ -118,9 +129,11 @@ fn main() -> ExitCode {
                         .map(|(k, n)| format!("{k}={n}"))
                         .collect::<Vec<_>>()
                         .join(" ");
-                    println!(
+                    out!(
                         "{jsonl_path}: OK — {} lines over {} us, {} workers ({kinds})",
-                        summary.lines, summary.span_us, summary.workers
+                        summary.lines,
+                        summary.span_us,
+                        summary.workers
                     );
                 }
                 Err(e) => {
@@ -137,7 +150,7 @@ fn main() -> ExitCode {
                     }
                 };
                 match schema::validate_trace(&doc) {
-                    Ok(events) => println!("{trace_path}: OK — {events} trace events"),
+                    Ok(events) => out!("{trace_path}: OK — {events} trace events"),
                     Err(e) => {
                         eprintln!("obs_validate: {trace_path}: {e}");
                         return ExitCode::FAILURE;

@@ -1,26 +1,26 @@
-//! C1: explorer-effort benchmark rows, shared by `exp_c1_explorer` and
+//! C1: explorer-effort rows and table, shared by `exp_c1_explorer` and
 //! `report_all`.
 //!
-//! For each simulated lock at small `n` this runs the [`Checker`]
-//! exhaustive explorer — natively and through the compiled bytecode VM
-//! (`Features::default().compiled()`), as adjacent row pairs — and records
-//! transitions executed, directives put to sleep, state-cache skips and
-//! distinct states. Every column is a count, so a run on one thread
+//! For each simulated lock at small `n` this runs the exhaustive
+//! explorer of a [`crate::checker`] — natively and through the compiled
+//! bytecode VM (`Features::default().compiled()`), as adjacent row pairs
+//! — and records transitions executed, directives put to sleep,
+//! state-cache skips and distinct states. Every column is a count, so a run on one thread
 //! reproduces the table exactly; the checker's speed is measured by the
 //! benchmark in `examples/perf`, over repeated runs.
 
 use std::sync::Arc;
 
-use tpa_check::{Checker, Execution, Features, Report, WorkerStats};
+use tpa_check::{Execution, Features, Report, WorkerStats};
+use tpa_obs::json::Json;
 use tpa_obs::Probe;
-use tpa_tso::{MemoryModel, System};
 
-use crate::report::{self, ToJson};
+use crate::report::{self, num, object};
 
 /// One row of the C1 table: one exhaustive check of one lock.
 #[derive(Debug, PartialEq)]
 pub struct CheckRow {
-    /// Lock name, per [`System::name`].
+    /// Lock name, per [`tpa_tso::System::name`].
     pub algo: String,
     /// Process count the lock was instantiated for.
     pub n: usize,
@@ -94,53 +94,49 @@ impl CheckRow {
         self.sym_ratio = self.unique_states as f64 / sym.stats.unique_states.max(1) as f64;
         self
     }
-}
 
-impl ToJson for CheckRow {
-    fn to_json(&self) -> String {
-        report::json_object(&[
-            ("algo", self.algo.to_json()),
-            ("n", self.n.to_json()),
-            ("max_steps", self.max_steps.to_json()),
-            ("threads", self.threads.to_json()),
-            ("vm", self.vm.to_json()),
-            ("transitions", self.transitions.to_json()),
-            ("pruned_sleep", self.pruned_sleep.to_json()),
-            ("cache_skips", self.cache_skips.to_json()),
-            ("unique_states", self.unique_states.to_json()),
-            ("complete", self.complete.to_json()),
-            ("verdict", self.verdict.to_json()),
-            ("symmetry", self.symmetry.to_json()),
-            ("canonical_states", self.canonical_states.to_json()),
-            ("sym_ratio", self.sym_ratio.to_json()),
-            ("workers", self.workers.to_json()),
+    /// This row as a JSON object, with one object per worker under
+    /// `workers`.
+    pub fn json(&self) -> Json {
+        object([
+            ("algo", Json::Str(self.algo.clone())),
+            ("n", num(self.n as f64)),
+            ("max_steps", num(self.max_steps as f64)),
+            ("threads", num(self.threads as f64)),
+            ("vm", Json::Bool(self.vm)),
+            ("transitions", num(self.transitions as f64)),
+            ("pruned_sleep", num(self.pruned_sleep as f64)),
+            ("cache_skips", num(self.cache_skips as f64)),
+            ("unique_states", num(self.unique_states as f64)),
+            ("complete", Json::Bool(self.complete)),
+            ("verdict", Json::Str(self.verdict.to_owned())),
+            ("symmetry", Json::Bool(self.symmetry)),
+            ("canonical_states", num(self.canonical_states as f64)),
+            ("sym_ratio", num(self.sym_ratio)),
+            (
+                "workers",
+                Json::Arr(self.workers.iter().map(worker_json).collect()),
+            ),
         ])
     }
 }
 
-/// One exhaustive TSO check with the C1 budget (4M transitions) and the
-/// given execution backend and state keys. A probe, if supplied,
-/// receives the run lifecycle and per-worker snapshots (see `tpa_obs`).
-pub fn check(
-    system: &dyn System,
-    max_steps: usize,
-    threads: usize,
-    features: Features,
-    probe: Option<&Arc<dyn Probe>>,
-) -> Report {
-    let mut checker = Checker::new(system)
-        .model(MemoryModel::Tso)
-        .max_steps(max_steps)
-        .max_transitions(4_000_000)
-        .threads(threads)
-        .features(features);
-    if let Some(probe) = probe {
-        checker = checker.probe(probe.clone());
-    }
-    if let Some(metrics) = crate::obs::env_metrics() {
-        checker = checker.metrics(metrics);
-    }
-    checker.exhaustive()
+fn worker_json(w: &WorkerStats) -> Json {
+    object([
+        ("worker", num(f64::from(w.worker))),
+        ("nodes_expanded", num(w.nodes_expanded as f64)),
+        ("transitions", num(w.transitions as f64)),
+        ("cache_hits", num(w.cache_hits as f64)),
+        ("cache_misses", num(w.cache_misses as f64)),
+        ("sleep_prunes", num(w.sleep_prunes as f64)),
+        ("donated", num(w.donated as f64)),
+        ("steals", num(w.steals as f64)),
+        ("max_frontier", num(f64::from(w.max_frontier))),
+        ("truncated_paths", num(w.truncated_paths as f64)),
+        ("max_depth", num(f64::from(w.max_depth))),
+        ("cache_subsumed", num(w.cache_subsumed as f64)),
+        ("sym_renamed", num(w.sym_renamed as f64)),
+    ])
 }
 
 /// Runs the whole lock portfolio at each `(n, max_steps)` size, through
@@ -161,14 +157,13 @@ pub fn portfolio_rows(
                     execution,
                     ..Features::default()
                 };
-                let report = check(lock.as_ref(), max_steps, threads, features, probe);
-                let sym = check(
-                    lock.as_ref(),
-                    max_steps,
-                    threads,
-                    features.canonical(),
-                    probe,
-                );
+                let check = |features| {
+                    crate::checker(lock.as_ref(), max_steps, threads, probe)
+                        .features(features)
+                        .exhaustive()
+                };
+                let report = check(features);
+                let sym = check(features.canonical());
                 rows.push(CheckRow::from_report(&report, n, max_steps).with_symmetry(&sym));
             }
         }
@@ -176,8 +171,13 @@ pub fn portfolio_rows(
     rows
 }
 
-/// Prints the aligned C1 table.
-pub fn print_table(title: &str, rows: &[CheckRow]) {
+/// C1: runs [`portfolio_rows`] and prints the C1 table.
+pub fn run(
+    sizes: &[(usize, usize)],
+    threads: usize,
+    probe: Option<&Arc<dyn Probe>>,
+) -> Vec<CheckRow> {
+    let rows = portfolio_rows(sizes, threads, probe);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -203,7 +203,7 @@ pub fn print_table(title: &str, rows: &[CheckRow]) {
         })
         .collect();
     report::print_table(
-        title,
+        "C1: bounded-exhaustive explorer effort (TSO, 1 passage)",
         &[
             "algo",
             "n",
@@ -221,20 +221,21 @@ pub fn print_table(title: &str, rows: &[CheckRow]) {
         ],
         &table,
     );
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpa_obs::json::{parse, Json};
+    use tpa_obs::json::parse;
 
     /// A C1 row, per-worker counters included, survives a real JSON
     /// parser.
     #[test]
     fn check_rows_round_trip_through_the_parser() {
         let lock = tpa_algos::lock_by_name("tas", 2, 1).unwrap();
-        let report = check(lock.as_ref(), 30, 1, Features::default(), None);
-        let payload = vec![CheckRow::from_report(&report, 2, 30)].to_json();
+        let report = crate::checker(lock.as_ref(), 30, 1, None).exhaustive();
+        let payload = Json::Arr(vec![CheckRow::from_report(&report, 2, 30).json()]).render();
 
         let v = parse(&payload).expect("row JSON must parse");
         let rows = v.as_arr().expect("rows array");

@@ -14,9 +14,10 @@
 //! | `TPA_OBS_LEDGER` | append one `RunRecord` per check into this ledger dir |
 //!
 //! `TPA_OBS_METRICS` names a file: [`env_metrics`] hands the same
-//! process-wide registry to every checker run, and [`finish`] writes its
-//! snapshot (counters, gauges, log₂ histograms, sorted keys) as one JSON
-//! document. `TPA_OBS_LEDGER` is consumed by the scenario front ends
+//! process-wide registry to every checker [`crate::checker`] builds —
+//! each C1 and R1 row and both negative controls — and [`finish`] writes
+//! its snapshot (counters, gauges, log₂ histograms, sorted keys) as one
+//! JSON document. `TPA_OBS_LEDGER` is consumed by the scenario front ends
 //! (`check_file`, `tpa_runs corpus`) rather than here — the experiment
 //! binaries have no scenario identity to record under.
 //!

@@ -1,8 +1,8 @@
 //! R1: the crash-fault model — what a crash budget does to the verified
 //! portfolio, shared by `exp_r1_crash` and `report_all`.
 //!
-//! Each row runs one lock through the [`Checker`] exhaustive explorer
-//! under the crash-extended invariant battery
+//! Each row runs one lock through the exhaustive explorer of a
+//! [`crate::checker`] under the crash-extended invariant battery
 //! ([`tpa_check::crash_invariants`]) at a crash budget of 0 and of 1.
 //! Budget 0 must reproduce the crash-free state space exactly (the fault
 //! model gates enumeration, not semantics); budget 1 adds the crash
@@ -15,11 +15,12 @@
 use std::sync::Arc;
 
 use tpa_check::invariant::CrashSafeExclusion;
-use tpa_check::{crash_invariants, Checker, Report, Verdict};
+use tpa_check::{crash_invariants, Report, Verdict};
+use tpa_obs::json::Json;
 use tpa_obs::Probe;
-use tpa_tso::{Directive, MemoryModel, System};
+use tpa_tso::{Directive, System};
 
-use crate::report::{self, ToJson};
+use crate::report::{self, num, object};
 
 /// One row of the R1 table: one crash-aware exhaustive check.
 pub struct CrashRow {
@@ -79,22 +80,21 @@ impl CrashRow {
             crash_in_shrunk,
         }
     }
-}
 
-impl ToJson for CrashRow {
-    fn to_json(&self) -> String {
-        report::json_object(&[
-            ("algo", self.algo.to_json()),
-            ("n", self.n.to_json()),
-            ("max_steps", self.max_steps.to_json()),
-            ("max_crashes", self.max_crashes.to_json()),
-            ("transitions", self.transitions.to_json()),
-            ("unique_states", self.unique_states.to_json()),
-            ("complete", self.complete.to_json()),
-            ("verdict", self.verdict.to_json()),
-            ("witness_len", self.witness_len.to_json()),
-            ("shrunk_len", self.shrunk_len.to_json()),
-            ("crash_in_shrunk", self.crash_in_shrunk.to_json()),
+    /// This row as a JSON object.
+    pub fn json(&self) -> Json {
+        object([
+            ("algo", Json::Str(self.algo.clone())),
+            ("n", num(self.n as f64)),
+            ("max_steps", num(self.max_steps as f64)),
+            ("max_crashes", num(f64::from(self.max_crashes))),
+            ("transitions", num(self.transitions as f64)),
+            ("unique_states", num(self.unique_states as f64)),
+            ("complete", Json::Bool(self.complete)),
+            ("verdict", Json::Str(self.verdict.clone())),
+            ("witness_len", num(self.witness_len as f64)),
+            ("shrunk_len", num(self.shrunk_len as f64)),
+            ("crash_in_shrunk", Json::Bool(self.crash_in_shrunk)),
         ])
     }
 }
@@ -107,17 +107,10 @@ pub fn check(
     threads: usize,
     probe: Option<&Arc<dyn Probe>>,
 ) -> Report {
-    let mut checker = Checker::new(system)
-        .model(MemoryModel::Tso)
+    crate::checker(system, max_steps, threads, probe)
         .invariants(crash_invariants())
-        .max_steps(max_steps)
-        .max_transitions(4_000_000)
         .max_crashes(max_crashes)
-        .threads(threads);
-    if let Some(probe) = probe {
-        checker = checker.probe(probe.clone());
-    }
-    checker.exhaustive()
+        .exhaustive()
 }
 
 /// The R1 portfolio: crash-relevant bakery variants plus one CAS-based
@@ -158,21 +151,20 @@ pub fn negative_control(
     probe: Option<&Arc<dyn Probe>>,
 ) -> Report {
     let broken = tpa_algos::sim::bakery::BakeryLock::recoverable_without_doorway_fence(2, 1);
-    let mut checker = Checker::new(&broken)
-        .model(MemoryModel::Tso)
+    crate::checker(&broken, max_steps, threads, probe)
         .invariants(vec![Box::new(CrashSafeExclusion)])
-        .max_steps(max_steps)
-        .max_transitions(4_000_000)
         .max_crashes(max_crashes)
-        .threads(threads);
-    if let Some(probe) = probe {
-        checker = checker.probe(probe.clone());
-    }
-    checker.exhaustive()
+        .exhaustive()
 }
 
-/// Prints the aligned R1 table.
-pub fn print_table(title: &str, rows: &[CrashRow]) {
+/// R1: runs [`portfolio_rows`] and prints the R1 table.
+pub fn run(
+    n: usize,
+    max_steps: usize,
+    threads: usize,
+    probe: Option<&Arc<dyn Probe>>,
+) -> Vec<CrashRow> {
+    let rows = portfolio_rows(n, max_steps, threads, probe);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -192,7 +184,7 @@ pub fn print_table(title: &str, rows: &[CrashRow]) {
         })
         .collect();
     report::print_table(
-        title,
+        &format!("R1: crash-fault model (TSO, n = {n}, crash-extended battery)"),
         &[
             "algo",
             "n",
@@ -208,23 +200,19 @@ pub fn print_table(title: &str, rows: &[CrashRow]) {
         ],
         &table,
     );
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpa_obs::json::{parse, Json};
+    use tpa_obs::json::parse;
 
     #[test]
     fn zero_budget_rows_match_the_crash_free_state_space() {
         let lock = tpa_algos::sim::bakery::BakeryLock::recoverable(2, 1);
         let with_battery = check(&lock, 28, 0, 1, None);
-        let plain = Checker::new(&lock)
-            .model(MemoryModel::Tso)
-            .max_steps(28)
-            .max_transitions(4_000_000)
-            .threads(1)
-            .exhaustive();
+        let plain = crate::checker(&lock, 28, 1, None).exhaustive();
         assert!(with_battery.verdict.passed() && plain.verdict.passed());
         assert_eq!(
             with_battery.stats.unique_states, plain.stats.unique_states,
@@ -255,9 +243,9 @@ mod tests {
     fn crash_rows_round_trip_through_json() {
         let report = negative_control(32, 1, 2, None);
         let row = CrashRow::from_report(&report, 2, 32, 1);
-        let payload = report::json_object(&[("rows", vec![row].to_json())]);
+        let payload = Json::Arr(vec![row.json()]).render();
         let v = parse(&payload).expect("row JSON must parse");
-        let rows = v.get("rows").and_then(Json::as_arr).expect("rows array");
+        let rows = v.as_arr().expect("rows array");
         assert_eq!(
             rows[0].get("algo").and_then(Json::as_str),
             Some("bakery-rec-nofence")

@@ -37,6 +37,18 @@ use std::sync::Arc;
 use tpa_check::scenario::{run_checks_opts, RunOptions};
 use tpa_obs::Metrics;
 
+/// `println!` for a stdout whose reader may leave early
+/// (`check_file F... | head -1`): a failed write is dropped instead of
+/// panicking, so every clause still runs and reaches the ledger and the
+/// metrics snapshot, and the exit status is the one an open stdout would
+/// give.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: check_file [--threads N] [--ledger DIR] [--deadline-ms N]\n\
@@ -120,9 +132,10 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        println!(
+        out!(
             "{path}: scenario `{}`, {} processes",
-            scenario.name, scenario.procs
+            scenario.name,
+            scenario.procs
         );
         let opts = RunOptions {
             threads,
@@ -143,14 +156,14 @@ fn main() -> ExitCode {
             }
         };
         for outcome in outcomes {
-            println!("  {}", outcome.summary());
+            out!("  {}", outcome.summary());
             if let tpa_check::Verdict::Incomplete {
                 reason,
                 checkpoint: Some(ckpt),
             } = &outcome.report.verdict
             {
-                println!("    incomplete: {reason}");
-                println!(
+                out!("    incomplete: {reason}");
+                out!(
                     "    checkpoint written: {} (resume with --resume)",
                     ckpt.display()
                 );
@@ -159,16 +172,16 @@ fn main() -> ExitCode {
                 failed = true;
                 match &outcome.report.verdict {
                     tpa_check::Verdict::Violation { invariant, .. } => {
-                        println!("    unexpected violation of `{invariant}`");
+                        out!("    unexpected violation of `{invariant}`");
                     }
                     tpa_check::Verdict::Incomplete {
                         reason,
                         checkpoint: None,
                     } => {
-                        println!("    incomplete: {reason}");
+                        out!("    incomplete: {reason}");
                     }
                     _ => {
-                        println!("    verdict: {:?}", outcome.report.verdict.passed());
+                        out!("    verdict: {:?}", outcome.report.verdict.passed());
                     }
                 }
             }

@@ -375,16 +375,6 @@ impl Checkpoint {
         &self.id
     }
 
-    /// Name of the checkpointed system.
-    pub fn system(&self) -> &str {
-        &self.fingerprint.system
-    }
-
-    /// Memory model the search ran under.
-    pub fn model(&self) -> MemoryModel {
-        self.fingerprint.model
-    }
-
     /// Which search was interrupted, and so which one a resume continues.
     pub fn phase(&self) -> SearchPhase {
         self.image.phase

@@ -416,10 +416,8 @@ impl System for ScriptSystem {
 /// straight back to `i + 1`), reproducing the `success_reg` convention
 /// without a rest state the interpreter doesn't have.
 ///
-/// Public because it is the reference seam between script-level systems
-/// and the VM: the scenario-DSL frontend and the differential tests
-/// both lower through it.
-pub fn lower_script(script: &[Instr], me: u32) -> Bytecode {
+/// [`ScriptSystem::compile_vm`] lowers each process's script through it.
+fn lower_script(script: &[Instr], me: u32) -> Bytecode {
     let len = script.len();
     assert!(len + 1 + 4 * len < u16::MAX as usize, "script too long");
     // A jump target past the end halts natively; route it to the Halt at

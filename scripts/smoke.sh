@@ -7,7 +7,8 @@
 #   1. tier-1: release build + full test suite (offline, as CI does)
 #   2. clippy across the whole workspace, warnings promoted to errors,
 #      and rustdoc with warnings denied (broken and private doc links)
-#   3. the aggregated experiment harness in --quick mode
+#   3. the aggregated experiment harness in --quick mode, twice, whose
+#      outputs must be byte-identical
 #   4. the exhaustive-explorer smoke sweep (n = 2, incl. the
 #      bakery-nofence negative control — nonzero exit if it slips by):
 #      twice at the default thread count, whose outputs must be
@@ -28,9 +29,10 @@
 #   8. the crash-fault model: exhaustive n = 2 with a crash budget of 1;
 #      the crash-gated negative control (unfenced recoverable bakery)
 #      must be caught and shrunk with its crash, two runs at the default
-#      thread count must print byte-identical output, and the telemetry
-#      a 4-thread run emits — crash events included — must pass schema
-#      validation
+#      thread count must print byte-identical output, a run with
+#      TPA_OBS_METRICS set must write a snapshot that obs_validate
+#      --metrics accepts, and the telemetry a 4-thread run emits — crash
+#      events included — must pass schema validation
 #   9. telemetry: rerun the explorer with TPA_OBS_* set and validate the
 #      JSONL run log and the Perfetto trace with obs_validate
 #  10. metrics + run ledger: the whole corpus through `tpa_runs corpus`
@@ -97,7 +99,10 @@ t cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" t cargo doc --offline --no-deps --workspace
 
 echo "== [3/15] experiment harness (quick) =="
-t cargo run --offline --release -p tpa-bench --bin report_all -- --quick
+t cargo run --offline --release -p tpa-bench --bin report_all -- --quick > "$SCRATCH/report-a.txt"
+t cargo run --offline --release -p tpa-bench --bin report_all -- --quick > "$SCRATCH/report-b.txt"
+cat "$SCRATCH/report-a.txt"
+cmp "$SCRATCH/report-a.txt" "$SCRATCH/report-b.txt" || { echo "two report_all runs differ"; exit 1; }
 
 echo "== [4/15] explorer smoke (quick): reproducible at the default thread count, then 4 threads, timed =="
 t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick > "$SCRATCH/c1-a.txt"
@@ -127,6 +132,9 @@ t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick > "$S
 t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick > "$SCRATCH/r1-b.txt"
 cat "$SCRATCH/r1-a.txt"
 cmp "$SCRATCH/r1-a.txt" "$SCRATCH/r1-b.txt" || { echo "two exp_r1_crash runs differ"; exit 1; }
+TPA_OBS_METRICS="$SCRATCH/r1-metrics.json" \
+    t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick > /dev/null
+t cargo run --offline --release -p tpa-bench --bin obs_validate -- --metrics "$SCRATCH/r1-metrics.json"
 TPA_OBS_JSONL="$SCRATCH/crash.jsonl" \
     t cargo run --offline --release -p tpa-bench --bin exp_r1_crash -- --quick --threads 4
 test -s "$SCRATCH/crash.jsonl" || { echo "crash-model run log missing"; exit 1; }
