@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use tpa_bench::{c1, obs, report};
+use tpa_bench::{c1, obs, out, report};
 use tpa_check::Verdict;
 use tpa_obs::Probe;
 
@@ -48,14 +48,14 @@ fn main() {
             shrunk,
             ..
         } => {
-            println!(
+            out!(
                 "\nnegative control: bakery-nofence violates {invariant}; \
                  schedule {found_len} directives, shrunk to {}",
                 shrunk.len()
             );
         }
         Verdict::Pass | Verdict::Incomplete { .. } => {
-            println!("\nnegative control FAILED: bakery-nofence was not caught");
+            out!("\nnegative control FAILED: bakery-nofence was not caught");
             obs::finish(&recorder);
             std::process::exit(1);
         }

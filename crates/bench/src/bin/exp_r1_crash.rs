@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use tpa_bench::{obs, r1, report};
+use tpa_bench::{obs, out, r1, report};
 use tpa_check::Verdict;
 use tpa_obs::Probe;
 use tpa_tso::Directive;
@@ -37,7 +37,7 @@ fn main() {
     // fault model (sanity for the state-space-preservation claim).
     for row in rows.iter().filter(|r| r.max_crashes == 0) {
         if !row.complete {
-            println!("\nR1 FAILED: zero-budget row {} hit the budget", row.algo);
+            out!("\nR1 FAILED: zero-budget row {} hit the budget", row.algo);
             obs::finish(&recorder);
             std::process::exit(1);
         }
@@ -47,11 +47,11 @@ fn main() {
     let control_steps = if quick { 32 } else { 40 };
     let clean = r1::negative_control(control_steps, 0, threads, probe.as_ref());
     if !clean.verdict.passed() {
-        println!("\nnegative control FAILED: crash invariant fired without a budget");
+        out!("\nnegative control FAILED: crash invariant fired without a budget");
         obs::finish(&recorder);
         std::process::exit(1);
     }
-    println!("\nnegative control, budget 0: crash-safe-exclusion vacuously holds (pass)");
+    out!("\nnegative control, budget 0: crash-safe-exclusion vacuously holds (pass)");
 
     let caught = r1::negative_control(control_steps, 1, threads, probe.as_ref());
     match &caught.verdict {
@@ -61,14 +61,14 @@ fn main() {
             shrunk,
             ..
         } if shrunk.iter().any(|d| matches!(d, Directive::Crash(_))) => {
-            println!(
+            out!(
                 "negative control, budget 1: bakery-rec-nofence violates {invariant}; \
                  schedule {found_len} directives, shrunk to {} (crash kept)",
                 shrunk.len()
             );
         }
         other => {
-            println!(
+            out!(
                 "\nnegative control FAILED: crash-induced violation not caught and \
                  shrunk with its crash (got {other:?})"
             );

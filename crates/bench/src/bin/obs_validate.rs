@@ -21,18 +21,8 @@
 
 use std::process::ExitCode;
 
+use tpa_bench::out;
 use tpa_obs::{json, schema, MetricsSnapshot};
-
-/// `println!` for a stdout whose reader may leave early
-/// (`obs_validate --checkpoint F | head -1`): a failed write is dropped
-/// instead of panicking, so every file is still validated and the exit
-/// status is the one an open stdout would give.
-macro_rules! out {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stdout(), $($arg)*);
-    }};
-}
 
 fn usage() -> ExitCode {
     eprintln!(

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tpa_bench::{c1, pow2s, r1};
+use tpa_bench::{c1, out, pow2s, r1};
 use tpa_obs::Probe;
 
 fn main() {
@@ -58,5 +58,5 @@ fn main() {
     r1::run(2, if quick { 28 } else { 40 }, 1, probe.as_ref());
 
     tpa_bench::obs::finish(&recorder);
-    println!("\nall simulator experiments complete; run `cargo bench -p tpa-bench` for H1.");
+    out!("\nall simulator experiments complete; run `cargo bench -p tpa-bench` for H1.");
 }

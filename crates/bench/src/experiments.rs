@@ -15,6 +15,7 @@ use tpa_obs::Probe;
 use tpa_tso::machine::NextEvent;
 use tpa_tso::{Counters, Directive, Machine, ProcId, System};
 
+use crate::out;
 use crate::report::{fmt_f64, num, object, print_table};
 
 /// Every simulated lock, in the row order of the T4 and T7 tables.
@@ -77,11 +78,13 @@ pub fn f1(
     probe: Option<Arc<dyn Probe>>,
 ) -> Result<Outcome, String> {
     let out = construction_outcome(algo, n, rounds, true, probe)?;
-    println!(
+    out!(
         "algorithm: {} | n = {} | stop: {}",
-        out.algorithm, out.n, out.stop
+        out.algorithm,
+        out.n,
+        out.stop
     );
-    println!(
+    out!(
         "rounds completed: {} | fences forced: {} | final contention: {} | blocked erased: {}",
         out.rounds_completed(),
         out.fences_forced(),
@@ -243,8 +246,11 @@ pub const T1_SLOW_NS: [usize; 3] = [16, 64, 256];
 /// scan-based ones at `slow_ns`, printed per round against Theorem 3 and
 /// summarised as the Theorem 1 witness (fences forced) per lock and N.
 pub fn t1(fast_ns: &[usize], slow_ns: &[usize], rounds: usize) -> Vec<T1Row> {
-    let mut rows = t1_rows(&T1_FAST, fast_ns, rounds);
-    rows.extend(t1_rows(&T1_SLOW, slow_ns, rounds));
+    let sweep = [(&T1_FAST, fast_ns), (&T1_SLOW, slow_ns)];
+    let rows: Vec<T1Row> = sweep
+        .iter()
+        .flat_map(|(algos, ns)| t1_rows(&algos[..], ns, rounds))
+        .collect();
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -276,16 +282,22 @@ pub fn t1(fast_ns: &[usize], slow_ns: &[usize], rounds: usize) -> Vec<T1Row> {
         ],
         &table,
     );
-    // One construction's rounds are adjacent rows.
-    let summary: Vec<Vec<String>> = rows
-        .chunk_by(|a, b| a.algo == b.algo && a.n == b.n)
-        .map(|run| {
-            let forced = run.iter().take_while(|r| r.act_measured >= 1).count();
-            vec![
-                run[0].algo.clone(),
-                run[0].n.to_string(),
-                forced.to_string(),
-            ]
+    // Every (lock, N) of the sweep gets a row: a construction that
+    // completes no round has no rows above and forced no fence.
+    let summary: Vec<Vec<String>> = sweep
+        .iter()
+        .flat_map(|(algos, ns)| {
+            algos
+                .iter()
+                .flat_map(move |a| ns.iter().map(move |&n| (*a, n)))
+        })
+        .map(|(algo, n)| {
+            let forced = rows
+                .iter()
+                .filter(|r| r.algo == algo && r.n == n)
+                .take_while(|r| r.act_measured >= 1)
+                .count();
+            vec![algo.to_owned(), n.to_string(), forced.to_string()]
         })
         .collect();
     print_table(
@@ -586,8 +598,7 @@ pub fn t4_rows(algos: &[&str], n: usize, ks: &[usize]) -> Vec<T4Row> {
         }
         let mut point_contention = 0;
         let mut interval_contention = 0;
-        for span in tpa_tso::analysis::spans(machine.log()) {
-            let c = tpa_tso::analysis::contention(machine.log(), span);
+        for (_, c) in tpa_tso::analysis::contention(machine.log()) {
             point_contention = point_contention.max(c.point);
             interval_contention = interval_contention.max(c.interval);
         }

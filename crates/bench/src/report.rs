@@ -7,13 +7,26 @@
 
 use tpa_obs::json::Json;
 
+/// `println!` for the crate's binaries, whose stdout reader may leave
+/// early (`exp_t6_frontier | head -1`, `obs_validate F | head -1`): a
+/// failed write is dropped instead of panicking, so the command still
+/// finishes its work (every table, `TPA_JSON` dump, metrics snapshot and
+/// validated file) and exits with the status an open stdout would give.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
 /// Prints an aligned text table: `headers` then `rows` of equal arity.
 ///
 /// # Panics
 ///
 /// Panics if a row's arity differs from the header's.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+    crate::out!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         assert_eq!(row.len(), headers.len(), "ragged table row");
@@ -26,7 +39,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         for (i, cell) in cells.iter().enumerate() {
             out.push_str(&format!("{:>width$}  ", cell, width = widths[i]));
         }
-        println!("{}", out.trim_end());
+        crate::out!("{}", out.trim_end());
     };
     line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
     line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());

@@ -34,20 +34,9 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use tpa_check::out;
 use tpa_check::scenario::{run_checks_opts, RunOptions};
 use tpa_obs::Metrics;
-
-/// `println!` for a stdout whose reader may leave early
-/// (`check_file F... | head -1`): a failed write is dropped instead of
-/// panicking, so every clause still runs and reaches the ledger and the
-/// metrics snapshot, and the exit status is the one an open stdout would
-/// give.
-macro_rules! out {
-    ($($arg:tt)*) => {{
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stdout(), $($arg)*);
-    }};
-}
 
 fn usage() -> ! {
     eprintln!(

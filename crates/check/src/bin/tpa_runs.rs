@@ -9,9 +9,11 @@
 //!                     [--baseline FILE]
 //! ```
 //!
-//! `list` prints one line per recorded run, oldest first (ordered by
-//! `(created_us, seq, id)`, not file position), and reports any torn or
-//! duplicate index lines it had to skip. `show` dumps a
+//! Every command reads the ledger's record files, `LEDGER/runs/*.json`,
+//! the only copy of each run. `list` prints one line per recorded run,
+//! oldest first (ordered by the records' `(created_us, seq, id)`, not
+//! file name), and one warning line counting the record files that do
+//! not parse. `show` dumps a
 //! run's full JSON record (by id or unique id prefix) plus the derived
 //! rates and checkpoint lineage. `diff` compares two runs — explicitly by
 //! id, or, with no ids, the latest two runs of every scenario in the
@@ -40,12 +42,17 @@
 //! missing scenarios, verdict changes, expectation mismatches and
 //! unique-state drift on complete passes and complete violations are
 //! regressions.
+//!
+//! A closed stdout (`tpa_runs list L | head -1`) ends no command early:
+//! lines that cannot be written are dropped, and the exit status is the
+//! one an open stdout would give.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use tpa_check::out;
 use tpa_check::scenario::{run_checks_opts, RunOptions};
 use tpa_obs::json::{parse, Json};
 use tpa_obs::{Ledger, RunRecord, RUN_RECORD_VERSION};
@@ -102,29 +109,27 @@ fn open(dir: &Path) -> Result<Ledger, String> {
 }
 
 fn list(dir: &Path) -> Result<bool, String> {
-    let ledger = open(dir)?;
-    let (index, health) = ledger.read_index_with_health().map_err(|e| e.to_string())?;
-    if index.is_empty() && health.is_clean() {
-        println!("(ledger {} is empty)", dir.display());
+    let (runs, unreadable) = open(dir)?.runs().map_err(|e| e.to_string())?;
+    if runs.is_empty() && unreadable == 0 {
+        out!("(ledger {} is empty)", dir.display());
         return Ok(true);
     }
-    for e in &index {
-        println!(
+    for r in &runs {
+        out!(
             "{}  {:<10} {:>3} {:<10} {}",
-            e.id, e.verdict, e.model, e.mode, e.scenario
+            r.id,
+            r.verdict,
+            r.model,
+            r.mode,
+            r.scenario
         );
     }
-    println!("{} runs", index.len());
-    // Damage is reported, not hidden: a torn line is a crashed append,
-    // a duplicate id a pre-`create_new` collision.
-    if health.torn_lines > 0 {
-        println!("warning: skipped {} torn index line(s)", health.torn_lines);
-    }
-    if health.duplicate_ids > 0 {
-        println!(
-            "warning: collapsed {} duplicate id(s) (kept the entry whose record exists)",
-            health.duplicate_ids
-        );
+    out!("{} runs", runs.len());
+    // Damage is reported, not hidden: an empty file is an append in
+    // flight and is skipped, but a non-empty record that does not parse
+    // was cut short or edited by hand.
+    if unreadable > 0 {
+        out!("warning: skipped {unreadable} unreadable record file(s)");
     }
     Ok(true)
 }
@@ -132,28 +137,28 @@ fn list(dir: &Path) -> Result<bool, String> {
 fn show(dir: &Path, id: &str) -> Result<bool, String> {
     let ledger = open(dir)?;
     let rec = ledger.load(id).map_err(|e| e.to_string())?;
-    println!("{}", rec.to_json().render());
+    out!("{}", rec.to_json().render());
     if rec.verdict == "incomplete" && !rec.verdict_detail.is_empty() {
         // The detail names what cut the search short — including a worker
         // panic's payload message — so surface it without JSON spelunking.
-        println!("# incomplete: {}", rec.verdict_detail);
+        out!("# incomplete: {}", rec.verdict_detail);
     }
     if !rec.resumed_from.is_empty() {
-        println!("# resumed from checkpoint: {}", rec.resumed_from);
+        out!("# resumed from checkpoint: {}", rec.resumed_from);
     }
     if !rec.checkpoint.is_empty() {
-        println!("# checkpoint written: {}", rec.checkpoint);
+        out!("# checkpoint written: {}", rec.checkpoint);
     }
     if let Some(rate) = rec.metrics.cache_hit_rate() {
-        println!("# cache hit rate: {:.1}%", rate * 100.0);
+        out!("# cache hit rate: {:.1}%", rate * 100.0);
     }
     if let Some(y) = rec.metrics.prune_yield() {
-        println!("# sleep-prune yield: {y:.3} prunes/transition");
+        out!("# sleep-prune yield: {y:.3} prunes/transition");
     }
     if rec.wall_us > 0 {
         let states = rec.stats.get("unique_states").copied().unwrap_or(0);
         if states > 0 {
-            println!(
+            out!(
                 "# throughput: {:.0} states/s",
                 states as f64 / (rec.wall_us as f64 / 1e6)
             );
@@ -172,58 +177,54 @@ fn diff_ids(dir: &Path, a: &str, b: &str) -> Result<bool, String> {
 
 /// With no ids: for every scenario in the ledger with at least two runs,
 /// diff the latest against the previous one. "Latest" is explicit, not
-/// positional: [`Ledger::read_index`] orders runs by
+/// positional: [`Ledger::runs`] orders runs by their records'
 /// `(created_us, seq, id)`, so a `SystemTime` step backwards between
-/// appends or interleaved concurrent writers cannot scramble the
-/// pairing. Runs superseded by a resume — their checkpoint id appears as
-/// a later run's `resumed_from` — are skipped: the interrupted leg and
-/// its resumption are one logical check, and only the chain's final run
-/// carries its result.
+/// appends cannot scramble the pairing. Runs superseded by a resume —
+/// their checkpoint id appears as a later run's `resumed_from` — are
+/// skipped: the interrupted leg and its resumption are one logical
+/// check, and only the chain's final run carries its result.
 fn diff_latest(dir: &Path) -> Result<bool, String> {
-    let ledger = open(dir)?;
-    let index = ledger.read_index().map_err(|e| e.to_string())?;
-    let mut by_scenario: BTreeMap<&str, Vec<&tpa_obs::IndexEntry>> = BTreeMap::new();
-    for e in &index {
-        by_scenario.entry(&e.scenario).or_default().push(e);
+    let (runs, _) = open(dir)?.runs().map_err(|e| e.to_string())?;
+    let mut by_scenario: BTreeMap<&str, Vec<&RunRecord>> = BTreeMap::new();
+    for r in &runs {
+        by_scenario.entry(&r.scenario).or_default().push(r);
     }
     let mut regressions = 0usize;
     let mut pairs = 0usize;
-    for (scenario, entries) in &by_scenario {
-        let resumed: std::collections::BTreeSet<&str> = entries
+    for (scenario, records) in &by_scenario {
+        let resumed: std::collections::BTreeSet<&str> = records
             .iter()
-            .filter(|e| !e.resumed_from.is_empty())
-            .map(|e| e.resumed_from.as_str())
+            .filter(|r| !r.resumed_from.is_empty())
+            .map(|r| r.resumed_from.as_str())
             .collect();
-        let ids: Vec<&str> = entries
+        let kept: Vec<&RunRecord> = records
             .iter()
-            .filter(|e| e.checkpoint.is_empty() || !resumed.contains(e.checkpoint.as_str()))
-            .map(|e| e.id.as_str())
+            .copied()
+            .filter(|r| r.checkpoint.is_empty() || !resumed.contains(r.checkpoint.as_str()))
             .collect();
-        let superseded = entries.len() - ids.len();
-        let [.., prev, last] = ids.as_slice() else {
+        let superseded = records.len() - kept.len();
+        let [.., old, new] = kept.as_slice() else {
             continue;
         };
         pairs += 1;
-        println!("== {scenario} ({prev} -> {last})");
+        out!("== {scenario} ({} -> {})", old.id, new.id);
         if superseded > 0 {
-            println!("  note: skipped {superseded} interrupted run(s) superseded by a resume");
+            out!("  note: skipped {superseded} interrupted run(s) superseded by a resume");
         }
-        let old = ledger.load(prev).map_err(|e| e.to_string())?;
-        let new = ledger.load(last).map_err(|e| e.to_string())?;
-        regressions += diff_pair(&old, &new);
+        regressions += diff_pair(old, new);
     }
     if pairs == 0 {
-        println!("(no scenario in {} has two runs to diff)", dir.display());
+        out!("(no scenario in {} has two runs to diff)", dir.display());
     }
     summarize(regressions)
 }
 
 fn summarize(regressions: usize) -> Result<bool, String> {
     if regressions == 0 {
-        println!("0 regressions");
+        out!("0 regressions");
         Ok(true)
     } else {
-        println!("{regressions} regressions");
+        out!("{regressions} regressions");
         Ok(false)
     }
 }
@@ -233,17 +234,17 @@ fn summarize(regressions: usize) -> Result<bool, String> {
 fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
     let mut regressions = 0usize;
     for line in old.env.differences(&new.env) {
-        println!("  env: {line}");
+        out!("  env: {line}");
     }
     if !old.comparable_to(new) {
-        println!(
+        out!(
             "  note: runs are not comparable (different scenario, model, mode or features) \
              — result fields not judged"
         );
         return 0;
     }
     if old.verdict != new.verdict {
-        println!(
+        out!(
             "  REGRESSION verdict: {} -> {} ({})",
             old.verdict,
             new.verdict,
@@ -271,7 +272,7 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
     {
         let (a, b) = (stat(old, "unique_states"), stat(new, "unique_states"));
         if a != b {
-            println!(
+            out!(
                 "  REGRESSION unique_states: {} -> {}",
                 a.unwrap_or(0),
                 b.unwrap_or(0)
@@ -285,7 +286,7 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
         for key in ["found_len", "shrunk_len"] {
             let (a, b) = (stat(old, key), stat(new, key));
             if a != b {
-                println!(
+                out!(
                     "  REGRESSION {key}: {} -> {}",
                     a.unwrap_or(0),
                     b.unwrap_or(0)
@@ -303,12 +304,12 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
         };
         if let (Some(a), Some(b)) = (throughput(old), throughput(new)) {
             if b < a * (1.0 - THROUGHPUT_WARN) {
-                println!("  warning: throughput {a:.0} -> {b:.0} states/s");
+                out!("  warning: throughput {a:.0} -> {b:.0} states/s");
             }
         }
         if let (Some(a), Some(b)) = (old.metrics.cache_hit_rate(), new.metrics.cache_hit_rate()) {
             if b < a - HIT_RATE_WARN {
-                println!(
+                out!(
                     "  warning: cache hit rate {:.1}% -> {:.1}%",
                     a * 100.0,
                     b * 100.0
@@ -317,7 +318,7 @@ fn diff_pair(old: &RunRecord, new: &RunRecord) -> usize {
         }
     }
     if regressions == 0 {
-        println!("  ok");
+        out!("  ok");
     }
     regressions
 }
@@ -398,7 +399,7 @@ fn corpus(args: &[String]) -> Result<bool, String> {
         };
         let mut clauses = Vec::new();
         for outcome in run_checks_opts(&scenario, &opts).map_err(|e| format!("{name}: {e}"))? {
-            println!("{name}: {}", outcome.summary());
+            out!("{name}: {}", outcome.summary());
             all_ok &= outcome.ok;
             let mut c = BTreeMap::new();
             c.insert(
@@ -468,7 +469,7 @@ fn corpus(args: &[String]) -> Result<bool, String> {
     if let Some(out) = &out_path {
         std::fs::write(out, report.render() + "\n")
             .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-        println!("report: {}", out.display());
+        out!("report: {}", out.display());
     }
 
     if let Some(base) = &baseline {
@@ -477,10 +478,10 @@ fn corpus(args: &[String]) -> Result<bool, String> {
         let base_doc = parse(&text).map_err(|e| format!("baseline {}: {e}", base.display()))?;
         let regressions = compare_to_baseline(&base_doc, &report);
         if regressions > 0 {
-            println!("{regressions} baseline regressions");
+            out!("{regressions} baseline regressions");
             all_ok = false;
         } else {
-            println!("0 baseline regressions");
+            out!("0 baseline regressions");
         }
     }
     Ok(all_ok)
@@ -505,7 +506,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
     let mut regressions = 0usize;
     for (name, base_entry) in base_scenarios {
         let Some(fresh_entry) = fresh_scenarios.get(name) else {
-            println!("REGRESSION {name}: in baseline but not in this run");
+            out!("REGRESSION {name}: in baseline but not in this run");
             regressions += 1;
             continue;
         };
@@ -518,7 +519,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
             .and_then(Json::as_arr)
             .unwrap_or(&[]);
         if base_clauses.len() != fresh_clauses.len() {
-            println!(
+            out!(
                 "REGRESSION {name}: {} clauses in baseline, {} now",
                 base_clauses.len(),
                 fresh_clauses.len()
@@ -529,7 +530,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
         for (i, (b, f)) in base_clauses.iter().zip(fresh_clauses).enumerate() {
             let s = |v: &Json, k: &str| v.get(k).and_then(Json::as_str).unwrap_or("").to_owned();
             if s(b, "verdict") != s(f, "verdict") {
-                println!(
+                out!(
                     "REGRESSION {name}#{i}: verdict {} -> {}",
                     s(b, "verdict"),
                     s(f, "verdict")
@@ -537,7 +538,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
                 regressions += 1;
             }
             if b.get("ok").and_then(Json::as_bool) != f.get("ok").and_then(Json::as_bool) {
-                println!("REGRESSION {name}#{i}: expectation match changed");
+                out!("REGRESSION {name}#{i}: expectation match changed");
                 regressions += 1;
             }
             let complete = |v: &Json| v.get("complete").and_then(Json::as_bool) == Some(true);
@@ -548,7 +549,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
             {
                 let states = |v: &Json| v.get("unique_states").and_then(Json::as_u64);
                 if states(b) != states(f) {
-                    println!(
+                    out!(
                         "REGRESSION {name}#{i}: unique_states {:?} -> {:?}",
                         states(b),
                         states(f)
@@ -560,7 +561,7 @@ fn compare_to_baseline(base: &Json, fresh: &Json) -> usize {
     }
     for name in fresh_scenarios.keys() {
         if !base_scenarios.contains_key(name) {
-            println!("note: {name} is new since the baseline");
+            out!("note: {name} is new since the baseline");
         }
     }
     regressions

@@ -66,3 +66,16 @@ pub use scenario::{
 };
 pub use swarm::{Bias, SwarmConfig};
 pub use verdict::{EffortStats, Report, Verdict};
+
+/// `println!` for the crate's binaries, whose stdout reader may leave
+/// early (`check_file F... | head -1`, `tpa_runs list L | head -1`): a
+/// failed write is dropped instead of panicking, so the command still
+/// finishes its work (every clause, ledger record, metrics snapshot and
+/// `--out` report) and exits with the status an open stdout would give.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}

@@ -595,8 +595,8 @@ fn periodic_checkpoints_are_resumable_and_non_perturbing() {
 
 /// The run ledger records resume lineage: the interrupted run carries
 /// the checkpoint id it wrote, the resumed run carries the same id as
-/// `resumed_from`, and both survive the index and the full-record round
-/// trip — so `tpa_runs` can pair the chain honestly.
+/// `resumed_from`, and both survive the record round trip — so
+/// `tpa_runs` can pair the chain honestly.
 #[test]
 fn ledger_records_resume_lineage() {
     let lock = tpa_algos::lock_by_name("tas", 2, 1).unwrap();
@@ -623,15 +623,13 @@ fn ledger_records_resume_lineage() {
     assert_identical(&control, &resumed, "tas through the ledger");
 
     let ledger = tpa_obs::Ledger::open(&ledger_dir).expect("open ledger");
-    let index = ledger.read_index().expect("read index");
-    assert_eq!(index.len(), legs + 1, "one record per leg");
+    let (runs, unreadable) = ledger.runs().expect("read ledger");
+    assert_eq!(unreadable, 0);
+    assert_eq!(runs.len(), legs + 1, "one record per leg");
     // Every interrupted leg wrote a checkpoint; every resumed leg names
     // the previous leg's checkpoint. The chain must link up exactly.
-    assert!(
-        index[0].resumed_from.is_empty(),
-        "first leg resumed nothing"
-    );
-    for pair in index.windows(2) {
+    assert!(runs[0].resumed_from.is_empty(), "first leg resumed nothing");
+    for pair in runs.windows(2) {
         assert!(
             !pair[0].checkpoint.is_empty(),
             "an interrupted leg must record the checkpoint it wrote"
@@ -642,13 +640,14 @@ fn ledger_records_resume_lineage() {
         );
     }
     assert!(
-        index.last().unwrap().checkpoint.is_empty() || !matches!(resumed.verdict, Verdict::Pass),
+        runs.last().unwrap().checkpoint.is_empty() || !matches!(resumed.verdict, Verdict::Pass),
         "a completed final leg writes no abort-time checkpoint"
     );
     // The full record round-trips the lineage (and the fallback knob's
     // effort shows up in stats, 0 here — no deadline fired).
-    let full = ledger.load(&index[1].id).expect("load resumed record");
-    assert_eq!(full.resumed_from, index[0].checkpoint);
+    let full = ledger.load(&runs[1].id).expect("load resumed record");
+    assert_eq!(full, runs[1]);
+    assert_eq!(full.resumed_from, runs[0].checkpoint);
     assert_eq!(full.stats.get("fallback_schedules"), Some(&0));
     let _ = std::fs::remove_dir_all(&dir);
 }

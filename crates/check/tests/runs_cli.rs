@@ -1,14 +1,15 @@
-//! End-to-end tests for the `tpa_runs` binary against hand-damaged
-//! ledgers: `diff` must pair "latest" by `(created_us, seq, id)` rather
-//! than index-file position, and `list` must report torn/duplicate index
-//! lines instead of hiding them. Both gates — `diff` and `corpus
-//! --baseline` — flag unique-state drift between complete violating
-//! runs as well as passing ones.
+//! End-to-end tests for the `tpa_runs` binary against hand-edited
+//! ledgers: `diff` must pair "latest" by the records' `(created_us, seq,
+//! id)` rather than file order, `list` must report record files that do
+//! not parse but not appends still in flight, and an `index.jsonl` left
+//! by an earlier build must change nothing. Both gates — `diff` and
+//! `corpus --baseline` — flag unique-state drift between complete
+//! violating runs as well as passing ones. A closed stdout changes
+//! neither a command's work nor its exit status.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use tpa_obs::{Ledger, RunRecord};
 
@@ -43,19 +44,15 @@ fn append_run(ledger: &Ledger, scenario: &str) -> String {
     ledger.append(&mut rec).expect("append")
 }
 
-/// Rewrites `index.jsonl` so that the stored creation timestamps are
-/// `ts[i]` for the i-th id, in the given *file* order — simulating a
-/// `SystemTime` step backwards between appends.
-fn rewrite_index(dir: &Path, scenario: &str, order: &[(&str, u64)]) {
-    let mut f = fs::File::create(dir.join("index.jsonl")).expect("index");
-    for (id, t) in order {
-        writeln!(
-            f,
-            "{{\"id\":\"{id}\",\"t\":{t},\"scenario\":\"{scenario}\",\"algo\":\"tas\",\
-             \"model\":\"tso\",\"mode\":\"swarm\",\"verdict\":\"pass\",\"path\":\"runs/{id}.json\"}}"
-        )
-        .expect("line");
-    }
+/// Rewrites the record of run `id` with creation time `created_us`,
+/// as a `SystemTime` step backwards between appends would have left it.
+fn set_created_us(ledger: &Ledger, id: &str, created_us: u64) {
+    let rec = RunRecord {
+        created_us,
+        ..ledger.load(id).expect("load")
+    };
+    let path = ledger.dir().join(format!("runs/{id}.json"));
+    fs::write(path, rec.to_json().render()).expect("rewrite record");
 }
 
 #[test]
@@ -65,10 +62,11 @@ fn diff_pairs_latest_by_creation_key_not_file_order() {
     let i0 = append_run(&ledger, "s");
     let i1 = append_run(&ledger, "s");
     let i2 = append_run(&ledger, "s");
-    drop(ledger);
     // Clock stepped backwards: the run appended last (file order) is
-    // *not* the latest. True creation order by t is i1 < i2 < i0.
-    rewrite_index(&dir, "s", &[(&i0, 300), (&i1, 100), (&i2, 200)]);
+    // *not* the latest. True creation order is i1 < i2 < i0.
+    for (id, t) in [(&i0, 300), (&i1, 100), (&i2, 200)] {
+        set_created_us(&ledger, id, t);
+    }
 
     let (ok, text) = run(&["diff", dir.to_str().unwrap()]);
     assert!(ok, "diff failed:\n{text}");
@@ -80,43 +78,80 @@ fn diff_pairs_latest_by_creation_key_not_file_order() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// An empty record file is an id claimed by an append still in flight:
+/// it is not a run and not damage. A non-empty one that does not parse
+/// is damage, and `list` says so in one line.
 #[test]
-fn list_reports_torn_and_duplicate_index_lines() {
-    let dir = scratch("list-health");
+fn list_reports_unreadable_records_but_not_appends_in_flight() {
+    let dir = scratch("list-damage");
     let ledger = Ledger::open(&dir).expect("open");
-    let id = append_run(&ledger, "s");
-    drop(ledger);
-    let mut f = fs::OpenOptions::new()
-        .append(true)
-        .open(dir.join("index.jsonl"))
-        .expect("index");
-    // A duplicate of the same id pointing at a record that lost the
-    // (pre-`create_new`) collision, then a newline-terminated but
-    // unparseable line from a crashed writer. (A line with no newline
-    // at all is an append still in flight, not damage.)
-    writeln!(
-        f,
-        "{{\"id\":\"{id}\",\"t\":9,\"scenario\":\"ghost\",\"verdict\":\"violation\",\
-         \"path\":\"runs/lost.json\"}}"
-    )
-    .expect("dup");
-    writeln!(f, "{{\"id\":\"half-wr").expect("torn");
-    drop(f);
-
+    append_run(&ledger, "s");
+    fs::File::create(dir.join("runs/00000000000000ff-1-0000.json")).expect("claim");
     let (ok, text) = run(&["list", dir.to_str().unwrap()]);
     assert!(ok, "list failed:\n{text}");
     assert!(text.contains("1 runs"), "{text}");
     assert!(
-        !text.contains("ghost"),
-        "lost duplicate must not win:\n{text}"
+        !text.contains("warning"),
+        "an append in flight is not damage:\n{text}"
     );
-    assert!(
-        text.contains("skipped 1 torn index line"),
-        "torn lines must be reported:\n{text}"
+
+    fs::write(
+        dir.join("runs/00000000000000fe-1-0000.json"),
+        "{\"v\":1,\"id\":\"half-wr",
+    )
+    .expect("cut");
+    let (ok, text) = run(&["list", dir.to_str().unwrap()]);
+    assert!(ok, "list failed:\n{text}");
+    assert!(text.contains("1 runs"), "{text}");
+    assert_eq!(
+        text.lines()
+            .filter(|l| l.starts_with("warning"))
+            .collect::<Vec<_>>(),
+        ["warning: skipped 1 unreadable record file(s)"],
+        "{text}"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Earlier builds also kept an `index.jsonl` of summary lines. A ledger
+/// that holds one, torn line and ghost entry included, lists, loads and
+/// diffs exactly its records, without a warning, and keeps the file.
+#[test]
+fn an_index_left_by_an_earlier_build_changes_nothing() {
+    let dir = scratch("old-index");
+    let ledger = Ledger::open(&dir).expect("open");
+    let ids = [append_run(&ledger, "s"), append_run(&ledger, "s")];
+    let mut index = String::new();
+    for id in &ids {
+        index += &format!(
+            "{{\"v\":1,\"id\":\"{id}\",\"t\":1,\"scenario\":\"s\",\"algo\":\"tas\",\
+             \"model\":\"tso\",\"mode\":\"swarm\",\"verdict\":\"pass\",\"path\":\"runs/{id}.json\"}}\n"
+        );
+    }
+    index +=
+        "{\"v\":1,\"id\":\"ghost\",\"t\":9,\"scenario\":\"ghost\",\"path\":\"runs/lost.json\"}\n";
+    index += "{\"id\":\"half-wr\n";
+    fs::write(dir.join("index.jsonl"), &index).expect("index");
+
+    let (ok, text) = run(&["list", dir.to_str().unwrap()]);
+    assert!(ok, "list failed:\n{text}");
+    assert!(text.contains("2 runs"), "{text}");
+    assert!(ids.iter().all(|id| text.contains(id.as_str())), "{text}");
     assert!(
-        text.contains("collapsed 1 duplicate id"),
-        "duplicates must be reported:\n{text}"
+        !text.contains("ghost") && !text.contains("warning"),
+        "{text}"
+    );
+    let (ok, text) = run(&["show", dir.to_str().unwrap(), &ids[0]]);
+    assert!(ok && text.contains(&ids[0]), "{text}");
+    let (ok, text) = run(&["diff", dir.to_str().unwrap()]);
+    assert!(ok, "diff failed:\n{text}");
+    assert!(
+        text.contains(&format!("== s ({} -> {})", ids[0], ids[1])),
+        "{text}"
+    );
+    assert_eq!(
+        fs::read_to_string(dir.join("index.jsonl")).expect("kept"),
+        index
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -132,6 +167,40 @@ fn list_on_a_clean_ledger_prints_no_warnings() {
     assert!(ok, "list failed:\n{text}");
     assert!(text.contains("2 runs"), "{text}");
     assert!(!text.contains("warning"), "{text}");
+    assert!(
+        !dir.join("index.jsonl").exists(),
+        "the records are the only copy"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `list` and `diff` whose stdout reader has gone away (`tpa_runs list L
+/// | head -1`) finish and exit with the status an open stdout gives: 0
+/// for `list`, 1 for a `diff` that finds a verdict flip.
+#[test]
+fn a_closed_stdout_changes_no_exit_status() {
+    let dir = scratch("closed-stdout");
+    let ledger = Ledger::open(&dir).expect("open");
+    append_exhaustive(&ledger, "pass", 778, "");
+    append_exhaustive(&ledger, "violation", 778, "");
+    for cmd in ["list", "diff"] {
+        let tpa_runs = |stdout: Stdio| {
+            Command::new(env!("CARGO_BIN_EXE_tpa_runs"))
+                .args([cmd, dir.to_str().unwrap()])
+                .stdout(stdout)
+                .stderr(Stdio::piped())
+                .output()
+                .expect("spawn tpa_runs")
+        };
+        let open = tpa_runs(Stdio::piped());
+        assert_eq!(open.status.success(), cmd == "list", "{cmd}");
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let closed = tpa_runs(writer.into());
+        let stderr = String::from_utf8_lossy(&closed.stderr);
+        assert_eq!(closed.status.code(), open.status.code(), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,38 +1,31 @@
 //! The persistent run ledger: one JSON [`RunRecord`] per checker run,
-//! appended into a directory with an index, so runs survive their
-//! process and can be listed, inspected and diffed later (`tpa_runs`).
+//! one file per run, so runs survive their process and can be listed,
+//! inspected and diffed later (`tpa_runs`).
 //!
 //! Layout of a ledger directory:
 //!
 //! ```text
-//! <dir>/index.jsonl      one line per run: {v, id, t, scenario, algo,
-//!                        model, mode, verdict, path} plus, when the run
-//!                        wrote or consumed a search checkpoint, the
-//!                        lineage keys {ckpt, resumed}
-//! <dir>/runs/<id>.json   the full RunRecord
+//! <dir>/runs/<id>.json   the full RunRecord, the only copy of the run
 //! ```
 //!
 //! Records are written temp-file-then-rename so a crashed writer never
-//! leaves a half-record behind; index lines are appended with
-//! `O_APPEND` semantics so concurrent writers interleave whole lines.
-//! Run ids are `{unix_micros:016x}-{pid}-{seq:04}`, and an id is
-//! *claimed* by creating `runs/<id>.json` with `create_new` before
-//! anything is written: two `Ledger` handles (same pid, seq restarting
-//! at 0, same microsecond) that mint the same candidate id race on the
-//! exclusive create, and the loser retries with the next sequence
-//! number — a collision can slow an append down, never silently
-//! overwrite a record.
+//! leaves a half-record behind. Run ids are
+//! `{unix_micros:016x}-{pid}-{seq:04}`, and an id is *claimed* by
+//! creating an empty `runs/<id>.json` with `create_new` before anything
+//! is written: two `Ledger` handles (same pid, seq restarting at 0, same
+//! microsecond) that mint the same candidate id race on the exclusive
+//! create, and the loser retries with the next sequence number — a
+//! collision can slow an append down, never silently overwrite a record.
 //!
-//! In memory the ledger is one `Mutex` around a `BTreeMap` keyed by
-//! `(created_us, seq, id)` and the replay cursor over `index.jsonl`: the
-//! durable index is replayed into the map on open and incrementally on
-//! every read (so appends from other handles and processes surface),
-//! and [`Ledger::append`] inserts its own entry under the same lock.
-//! Reads ([`Ledger::read_index`], `tpa_runs list|show|diff`) copy the
-//! entries into an owned `Vec` while holding the lock, so no concurrent
-//! writer can tear them. The map is only a cache over the on-disk
-//! format: ledger directories written by earlier builds (lineage keys
-//! included) load unchanged.
+//! A read ([`Ledger::runs`], `tpa_runs list|diff`) scans `runs/*.json`
+//! and orders the records by `(created_us, seq, id)` taken from each
+//! record. It skips dot-prefixed temp files and empty files (ids claimed
+//! by appends still in flight), and counts the non-empty files that do
+//! not parse. The rename is atomic, so a read sees all of an append or
+//! none of it, and a record one read lists every later read lists too.
+//! Ledger directories written by earlier builds also hold an
+//! `index.jsonl` of per-run summary lines; nothing reads it, and their
+//! records list, load and diff unchanged.
 //!
 //! This crate sits below `tpa-check` in the workspace graph, so the
 //! record speaks in plain strings and counter maps; the checker's
@@ -41,10 +34,9 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::{parse, Json};
@@ -396,78 +388,6 @@ impl RunRecord {
     }
 }
 
-/// One line of the ledger index: enough to list and filter runs without
-/// opening every record.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct IndexEntry {
-    /// Run id.
-    pub id: String,
-    /// Creation time (µs since the Unix epoch).
-    pub created_us: u64,
-    /// Scenario identity.
-    pub scenario: String,
-    /// Algorithm name.
-    pub algo: String,
-    /// Memory model.
-    pub model: String,
-    /// Search mode.
-    pub mode: String,
-    /// Verdict kind.
-    pub verdict: String,
-    /// Id of the last checkpoint the run wrote (empty: none).
-    pub checkpoint: String,
-    /// Id of the checkpoint the run resumed from (empty: a fresh run).
-    pub resumed_from: String,
-    /// Record path, relative to the ledger directory.
-    pub path: String,
-}
-
-/// What [`Ledger::read_index_with_health`] had to skip or repair while
-/// assembling the index view: lines it could not parse (torn concurrent
-/// writes, hand-editing damage) and ids that appeared more than once
-/// (ledgers written before the `create_new` id claim, or hand-merged
-/// ones). `tpa_runs list` surfaces these instead of silently hiding
-/// them.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct IndexHealth {
-    /// Index lines that failed to parse or lacked the `id`/`path` fields.
-    pub torn_lines: u64,
-    /// Extra index lines whose run id was already taken by another line
-    /// (each duplicate counts once; the surviving entry is the one whose
-    /// record file exists).
-    pub duplicate_ids: u64,
-}
-
-impl IndexHealth {
-    /// Whether anything was skipped at all.
-    pub fn is_clean(&self) -> bool {
-        self.torn_lines == 0 && self.duplicate_ids == 0
-    }
-}
-
-/// The index key for one entry: creation order made explicit.
-/// Ordering by `(created_us, seq, id)` — timestamp, then the minting
-/// handle's sequence number, then the full id as an unambiguous
-/// tie-break — is what `tpa_runs diff` means by "latest": it does not
-/// assume `SystemTime` never steps backwards between appends, and two
-/// same-microsecond appends from one process still order by `seq`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct RunKey {
-    created_us: u64,
-    seq: u64,
-    id: String,
-}
-
-impl RunKey {
-    fn of(entry: &IndexEntry) -> Self {
-        RunKey {
-            created_us: entry.created_us,
-            seq: id_seq(&entry.id),
-            id: entry.id.clone(),
-        }
-    }
-}
-
 /// The `{seq:04}` suffix of a run id, or 0 for foreign/hand-made ids.
 fn id_seq(id: &str) -> u64 {
     id.rsplit('-')
@@ -476,140 +396,37 @@ fn id_seq(id: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Parses one index line into an [`IndexEntry`]; `None` for lines that
-/// don't parse or lack the mandatory `id`/`path` fields (torn writes,
-/// hand-editing damage) — the caller counts those.
-fn parse_index_line(line: &str) -> Option<IndexEntry> {
-    let v = parse(line).ok()?;
-    let str_of = |k: &str| v.get(k).and_then(Json::as_str).map(str::to_owned);
-    let (id, path) = (str_of("id")?, str_of("path")?);
-    Some(IndexEntry {
-        id,
-        created_us: v.get("t").and_then(Json::as_u64).unwrap_or(0),
-        scenario: str_of("scenario").unwrap_or_default(),
-        algo: str_of("algo").unwrap_or_default(),
-        model: str_of("model").unwrap_or_default(),
-        mode: str_of("mode").unwrap_or_default(),
-        verdict: str_of("verdict").unwrap_or_default(),
-        checkpoint: str_of("ckpt").unwrap_or_default(),
-        resumed_from: str_of("resumed").unwrap_or_default(),
-        path,
-    })
+/// Parses the bytes of the record file at `path`, naming it in the
+/// error.
+fn parse_record(path: &Path, bytes: &[u8]) -> Result<RunRecord, String> {
+    std::str::from_utf8(bytes)
+        .map_err(|e| e.to_string())
+        .and_then(parse)
+        .and_then(|v| RunRecord::from_json(&v))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Incremental-replay cursor over `index.jsonl`.
-#[derive(Default)]
-struct ReplayState {
-    /// Byte offset up to which the index has been replayed into the
-    /// map. Only ever advanced past *complete* (newline-terminated)
-    /// lines, so a torn in-progress write is re-examined next time.
-    offset: u64,
-    /// Complete lines that failed to parse — counted once, when first
-    /// replayed.
-    torn: u64,
-    /// Same-key index lines that disagreed with an already-replayed
-    /// entry (duplicate ids from pre-`create_new` ledgers).
-    dups: u64,
-}
-
-/// The in-memory index: every replayed entry in creation order, and the
-/// cursor saying how far `index.jsonl` has been replayed into it.
-#[derive(Default)]
-struct Index {
-    replay: ReplayState,
-    entries: BTreeMap<RunKey, IndexEntry>,
-}
-
-impl Index {
-    /// Replays the lines appended to `<dir>/index.jsonl` since the last
-    /// replay. If the file shrank — someone rewrote it by hand — the map
-    /// is rebuilt from scratch.
-    fn refresh(&mut self, dir: &Path) -> io::Result<()> {
-        let mut file = match File::open(dir.join("index.jsonl")) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let len = file.metadata()?.len();
-        if len < self.replay.offset {
-            // The file shrank under us: replay everything again.
-            *self = Index::default();
-        }
-        if len == self.replay.offset {
-            return Ok(());
-        }
-        file.seek(SeekFrom::Start(self.replay.offset))?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        // Only newline-terminated lines are consumed; a trailing partial
-        // line is an append still in flight and is left for next time.
-        let complete = text.rfind('\n').map_or(0, |i| i + 1);
-        for line in text[..complete].lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(entry) = parse_index_line(line) else {
-                self.replay.torn += 1;
-                continue;
-            };
-            let key = RunKey::of(&entry);
-            match self.entries.get(&key) {
-                // Same line replayed twice (e.g. our own append): no-op.
-                Some(prev) if *prev == entry => {}
-                // A different line under the same key: keep the one
-                // whose record file exists, and count the duplicate
-                // (read_index applies the same rule across keys).
-                Some(prev) => {
-                    let prev_exists = dir.join(&prev.path).is_file();
-                    let new_exists = dir.join(&entry.path).is_file();
-                    if new_exists && !prev_exists {
-                        self.entries.insert(key, entry);
-                    }
-                    self.replay.dups += 1;
-                }
-                None => {
-                    self.entries.insert(key, entry);
-                }
-            }
-        }
-        self.replay.offset += complete as u64;
-        Ok(())
-    }
-}
-
-/// A ledger directory handle. Creating one creates the directory (and
-/// `runs/`) if missing; appending assigns ids and timestamps.
-///
-/// The in-memory index sits behind one mutex, and every operation
-/// on it — replaying `index.jsonl`, inserting an append, copying a read
-/// out — takes that lock once. A reader racing a writer therefore sees
-/// either all of an append or none of it, and the entries and
-/// [`IndexHealth`] a read returns always come from the same replay
-/// point. Appends made by other handles or other processes surface on
-/// the next read.
+/// A ledger directory handle. Opening one creates the directory (and
+/// `runs/`) if missing; appending assigns ids and timestamps. A handle
+/// holds no copy of the ledger: every read scans the record files, so
+/// appends made by other handles or other processes surface on the next
+/// read.
 pub struct Ledger {
     dir: PathBuf,
     seq: AtomicU64,
-    index: Mutex<Index>,
 }
 
 impl Ledger {
-    /// Opens (creating if needed) the ledger at `dir` and replays any
-    /// existing `index.jsonl` into memory.
+    /// Opens the ledger at `dir`, creating the directory if needed.
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created or an existing index
-    /// cannot be read (unparseable *lines* are skipped and counted, but
-    /// an unreadable *file* is an error).
+    /// Fails if the directory cannot be created.
     pub fn open(dir: &Path) -> io::Result<Self> {
         fs::create_dir_all(dir.join("runs"))?;
-        let mut index = Index::default();
-        index.refresh(dir)?;
         Ok(Ledger {
             dir: dir.to_path_buf(),
             seq: AtomicU64::new(0),
-            index: Mutex::new(index),
         })
     }
 
@@ -618,21 +435,15 @@ impl Ledger {
         &self.dir
     }
 
-    /// Locks the index. A panic mid-update leaves it usable (at worst a
-    /// few lines are replayed again), so a poisoned lock is recovered.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Index> {
-        self.index.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Appends `record` to the ledger: claims an id (see module docs),
-    /// writes `runs/<id>.json` (temp + rename over the claimed file),
-    /// appends the index line, and inserts the entry into the in-memory
-    /// index. Returns the assigned id.
+    /// Appends `record` to the ledger: claims an id (see module docs) and
+    /// writes `runs/<id>.json` (temp + rename over the claimed file).
+    /// Returns the assigned id.
     ///
     /// # Errors
     ///
-    /// Fails if the record or index cannot be written; the ledger is
-    /// never left with an index line pointing at a missing record.
+    /// Fails if the record cannot be written; a failed append leaves at
+    /// most an empty claimed file and a dot-prefixed temp file, both of
+    /// which reads skip.
     pub fn append(&self, record: &mut RunRecord) -> io::Result<String> {
         // Mint candidate ids until `create_new` wins the exclusive
         // claim on runs/<id>.json. Two handles in one process share a
@@ -641,7 +452,7 @@ impl Ledger {
         // decides a winner and the loser retries with a fresh seq;
         // overwriting another handle's record is structurally
         // impossible. The loop terminates: seq strictly increases.
-        let (id, now, seq) = loop {
+        let (id, now) = loop {
             let now = SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |d| d.as_micros() as u64);
@@ -652,7 +463,7 @@ impl Ledger {
                 .create_new(true)
                 .open(self.dir.join(format!("runs/{id}.json")))
             {
-                Ok(_claim) => break (id, now, seq),
+                Ok(_claim) => break (id, now),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(e),
             }
@@ -660,8 +471,6 @@ impl Ledger {
         record.id = id.clone();
         record.created_us = now;
 
-        let rel = format!("runs/{id}.json");
-        let final_path = self.dir.join(&rel);
         // The id is claimed, so the tmp name derived from it is ours
         // alone; the rename replaces our empty claim file atomically.
         let tmp_path = self.dir.join(format!("runs/.{id}.tmp"));
@@ -672,130 +481,58 @@ impl Ledger {
             f.write_all(b"\n")?;
             f.sync_all()?;
         }
-        fs::rename(&tmp_path, &final_path)?;
-
-        let mut line = BTreeMap::new();
-        line.insert("v".to_owned(), Json::Num(RUN_RECORD_VERSION as f64));
-        line.insert("id".to_owned(), Json::Str(id.clone()));
-        line.insert("t".to_owned(), Json::Num(now as f64));
-        line.insert("scenario".to_owned(), Json::Str(record.scenario.clone()));
-        line.insert("algo".to_owned(), Json::Str(record.algo.clone()));
-        line.insert("model".to_owned(), Json::Str(record.model.clone()));
-        line.insert("mode".to_owned(), Json::Str(record.mode.clone()));
-        line.insert("verdict".to_owned(), Json::Str(record.verdict.clone()));
-        if !record.checkpoint.is_empty() {
-            line.insert("ckpt".to_owned(), Json::Str(record.checkpoint.clone()));
-        }
-        if !record.resumed_from.is_empty() {
-            line.insert("resumed".to_owned(), Json::Str(record.resumed_from.clone()));
-        }
-        line.insert("path".to_owned(), Json::Str(rel.clone()));
-        let mut index = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join("index.jsonl"))?;
-        // One write_all of line + newline: `writeln!` may split them
-        // into separate writes, and under O_APPEND a second process
-        // could land its line in between, corrupting both.
-        let mut text = Json::Obj(line).render();
-        text.push('\n');
-        index.write_all(text.as_bytes())?;
-
-        // Insert the entry into the in-memory index so this handle's
-        // reads see the append immediately; the replay cursor will later
-        // walk over our own index line and no-op on the equal entry.
-        let entry = IndexEntry {
-            id: id.clone(),
-            created_us: now,
-            scenario: record.scenario.clone(),
-            algo: record.algo.clone(),
-            model: record.model.clone(),
-            mode: record.mode.clone(),
-            verdict: record.verdict.clone(),
-            checkpoint: record.checkpoint.clone(),
-            resumed_from: record.resumed_from.clone(),
-            path: rel,
-        };
-        self.lock().entries.insert(
-            RunKey {
-                created_us: now,
-                seq,
-                id: id.clone(),
-            },
-            entry,
-        );
+        fs::rename(&tmp_path, self.dir.join(format!("runs/{id}.json")))?;
         Ok(id)
     }
 
-    /// Reads the index, oldest first — explicitly ordered by
-    /// `(created_us, seq, id)`, *not* by file position, so concurrent
-    /// writers interleaving their lines (or a clock stepping backwards
-    /// between appends) cannot scramble what "latest" means. Torn lines
-    /// are skipped and duplicate ids deduplicated; use
-    /// [`Ledger::read_index_with_health`] to see how many of each.
+    /// Every run in the ledger, oldest first, and the number of record
+    /// files that do not parse.
+    ///
+    /// Runs are ordered by `(created_us, seq, id)` read from the records
+    /// themselves, *not* by file name or directory order, so a
+    /// `SystemTime` step backwards between appends cannot scramble what
+    /// "latest" means, and two same-microsecond appends from one handle
+    /// still order by `seq`. Dot-prefixed temp files are skipped, and so
+    /// are empty files: an id claimed by an append still in flight.
     ///
     /// # Errors
     ///
-    /// Fails only if the index file exists but cannot be read; a missing
-    /// index is an empty ledger.
-    pub fn read_index(&self) -> io::Result<Vec<IndexEntry>> {
-        Ok(self.read_index_with_health()?.0)
-    }
-
-    /// [`Ledger::read_index`], plus the [`IndexHealth`] counters saying
-    /// how many torn lines were skipped and duplicate ids collapsed.
-    ///
-    /// The index is refreshed from disk first (so other handles' and
-    /// processes' appends are included) and copied out under the same
-    /// lock: a concurrent append is either entirely visible or entirely
-    /// absent, and the health counts describe exactly the entries
-    /// returned. When one id appears under several entries, the entry
-    /// whose record file exists wins — the id collision this repairs
-    /// used to leave exactly one file behind.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the index file exists but cannot be read.
-    pub fn read_index_with_health(&self) -> io::Result<(Vec<IndexEntry>, IndexHealth)> {
-        let mut index = self.lock();
-        index.refresh(&self.dir)?;
-        let mut out: Vec<IndexEntry> = Vec::with_capacity(index.entries.len());
-        let mut by_id: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        let mut duplicates = index.replay.dups;
-        for entry in index.entries.values() {
-            match by_id.get(&entry.id) {
-                Some(&i) => {
-                    duplicates += 1;
-                    let kept_exists = self.dir.join(&out[i].path).is_file();
-                    let new_exists = self.dir.join(&entry.path).is_file();
-                    if new_exists && !kept_exists {
-                        out[i] = entry.clone();
-                    }
-                }
-                None => {
-                    by_id.insert(entry.id.clone(), out.len());
-                    out.push(entry.clone());
-                }
+    /// Fails if `runs/` or a record file cannot be read.
+    pub fn runs(&self) -> io::Result<(Vec<RunRecord>, usize)> {
+        let mut runs = Vec::new();
+        let mut unreadable = 0;
+        for path in self.record_paths()? {
+            let bytes = fs::read(&path)?;
+            if bytes.is_empty() {
+                continue;
+            }
+            match parse_record(&path, &bytes) {
+                Ok(record) => runs.push(record),
+                Err(_) => unreadable += 1,
             }
         }
-        Ok((
-            out,
-            IndexHealth {
-                torn_lines: index.replay.torn,
-                duplicate_ids: duplicates,
-            },
-        ))
+        runs.sort_by(|a, b| {
+            (a.created_us, id_seq(&a.id))
+                .cmp(&(b.created_us, id_seq(&b.id)))
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        Ok((runs, unreadable))
     }
 
-    /// Loads the full record of run `id`. Accepts unique id prefixes.
+    /// Loads the record of run `id`. Accepts unique id prefixes, matched
+    /// against the record file names.
     ///
     /// # Errors
     ///
     /// Fails on an unknown or ambiguous id, or an unreadable record.
     pub fn load(&self, id: &str) -> io::Result<RunRecord> {
-        let index = self.read_index()?;
-        let matches: Vec<&IndexEntry> = index.iter().filter(|e| e.id.starts_with(id)).collect();
-        let entry = match matches.as_slice() {
+        let mut matches = self.record_paths()?;
+        matches.retain(|p| {
+            p.file_stem()
+                .and_then(|s| s.to_str())
+                .is_some_and(|s| s.starts_with(id))
+        });
+        let path = match matches.as_slice() {
             [one] => one,
             [] => {
                 return Err(io::Error::new(
@@ -810,12 +547,21 @@ impl Ledger {
                 ))
             }
         };
-        let text = fs::read_to_string(self.dir.join(&entry.path))?;
-        let v = parse(&text).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", entry.path))
-        })?;
-        RunRecord::from_json(&v)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", entry.path)))
+        parse_record(path, &fs::read(path)?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// The paths of `runs/*.json`, leaving out dot-prefixed temp files.
+    fn record_paths(&self) -> io::Result<Vec<PathBuf>> {
+        let mut paths = Vec::new();
+        for entry in fs::read_dir(self.dir.join("runs"))? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or(".");
+            if !name.starts_with('.') && name.ends_with(".json") {
+                paths.push(path);
+            }
+        }
+        Ok(paths)
     }
 }
 
@@ -877,11 +623,12 @@ mod tests {
         let id_b = ledger.append(&mut b).expect("append b");
         assert_ne!(id_a, id_b);
 
-        let index = ledger.read_index().expect("index");
-        assert_eq!(index.len(), 2);
-        assert_eq!(index[0].id, id_a);
-        assert_eq!(index[1].verdict, "violation");
-        assert!(index[0].created_us <= index[1].created_us);
+        let (runs, unreadable) = ledger.runs().expect("read");
+        assert_eq!(unreadable, 0);
+        assert_eq!(runs.len(), 2);
+        assert_eq!(runs[0].id, id_a);
+        assert_eq!(runs[1].verdict, "violation");
+        assert!(runs[0].created_us <= runs[1].created_us);
 
         let loaded = ledger.load(&id_a).expect("load");
         assert_eq!(loaded, a);
@@ -942,88 +689,66 @@ mod tests {
             );
         }
         let fresh = Ledger::open(&dir).expect("reopen");
-        let (index, health) = fresh.read_index_with_health().expect("index");
-        assert_eq!(index.len(), 2 * PER_HANDLE);
-        assert!(health.is_clean(), "{health:?}");
+        let (runs, unreadable) = fresh.runs().expect("read");
+        assert_eq!(runs.len(), 2 * PER_HANDLE);
+        assert_eq!(unreadable, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Duplicate ids (possible in ledgers written before the
-    /// `create_new` claim, or hand-merged ones) are collapsed keeping
-    /// the entry whose record file exists, and both torn lines and
-    /// duplicates are counted rather than hidden.
+    /// A read lists the records that parse and counts the non-empty ones
+    /// that do not. An empty file is an id claimed by an append still in
+    /// flight and a dot-prefixed file is its temp record: neither is a
+    /// run, and neither is damage.
     #[test]
-    fn read_index_dedupes_duplicate_ids_and_counts_damage() {
-        let dir = std::env::temp_dir().join(format!("tpa-ledger-dedupe-{}", std::process::id()));
+    fn reads_skip_appends_in_flight_and_count_unreadable_records() {
+        let dir = std::env::temp_dir().join(format!("tpa-ledger-damage-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let ledger = Ledger::open(&dir).expect("open");
         let mut rec = sample_record("scenarios/sb.tpa");
         let id = ledger.append(&mut rec).expect("append");
-        // Simulate the old bug: a second index line reuses the id but
-        // points at a record the colliding writer lost; plus one torn
-        // line from a crashed writer.
-        let mut index = OpenOptions::new()
-            .append(true)
-            .open(dir.join("index.jsonl"))
-            .expect("index");
-        writeln!(
-            index,
-            "{{\"id\":\"{id}\",\"t\":{t},\"scenario\":\"ghost\",\"verdict\":\"violation\",\
-             \"path\":\"runs/lost-{id}.json\"}}",
-            t = rec.created_us
-        )
-        .expect("dup line");
-        writeln!(index, "{{\"id\":\"truncated-by-a-crash…").expect("torn line");
-        drop(index);
+        let runs = dir.join("runs");
+        File::create(runs.join("00000000000000ff-1-0000.json")).expect("claim");
+        fs::write(runs.join(".00000000000000ff-1-0000.tmp"), "{\"v\":1").expect("tmp");
+        fs::write(runs.join("cut.json"), "{\"v\":1,\"id\":\"cut\"").expect("cut");
+        let future = rec.to_json().render().replace("\"v\":1", "\"v\":99");
+        fs::write(runs.join("future.json"), future).expect("future");
 
-        let fresh = Ledger::open(&dir).expect("reopen");
-        let (entries, health) = fresh.read_index_with_health().expect("read");
-        assert_eq!(entries.len(), 1, "duplicate id must collapse to one entry");
-        assert_eq!(
-            entries[0].scenario, "scenarios/sb.tpa",
-            "must keep the entry whose record file exists"
-        );
-        assert_eq!(health.duplicate_ids, 1);
-        assert_eq!(health.torn_lines, 1);
-        // The surviving entry still loads.
-        assert!(fresh.load(&id).is_ok());
+        let (listed, unreadable) = ledger.runs().expect("read");
+        assert_eq!(listed, [rec.clone()]);
+        assert_eq!(unreadable, 2, "the cut and the future record");
+        assert_eq!(ledger.load(&id).expect("load"), rec);
+        let err = ledger.load("cut").expect_err("cut record loads");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A `SystemTime` step backwards between appends (or concurrent
-    /// writers interleaving index lines) must not scramble what
-    /// "latest" means: the index is ordered by `(created_us, seq, id)`,
-    /// not by file position.
+    /// A `SystemTime` step backwards between appends must not scramble
+    /// what "latest" means: a read orders by the records' own
+    /// `(created_us, seq, id)`, not by file name or directory order.
     #[test]
-    fn index_order_is_creation_order_not_file_order() {
+    fn read_order_is_creation_order_not_file_order() {
         let dir = std::env::temp_dir().join(format!("tpa-ledger-order-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("runs")).expect("mkdir");
-        // Hand-written index: file order deliberately scrambled, with a
-        // clock step backwards (t=50 appended after t=100) and a
-        // same-microsecond pair distinguished only by seq.
-        let lines = [
-            (100u64, "0000000000000064-1-0002", "c"),
-            (50u64, "0000000000000032-1-0003", "d"),
-            (7u64, "0000000000000007-1-0000", "a"),
-            (7u64, "0000000000000007-1-0001", "b"),
-        ];
-        let mut index = File::create(dir.join("index.jsonl")).expect("index");
-        for (t, id, scenario) in &lines {
-            // Record files exist so dedupe/health see a clean ledger.
-            File::create(dir.join(format!("runs/{id}.json"))).expect("record");
-            writeln!(
-                index,
-                "{{\"id\":\"{id}\",\"t\":{t},\"scenario\":\"{scenario}\",\
-                 \"verdict\":\"pass\",\"path\":\"runs/{id}.json\"}}"
-            )
-            .expect("line");
-        }
-        drop(index);
         let ledger = Ledger::open(&dir).expect("open");
-        let (entries, health) = ledger.read_index_with_health().expect("read");
-        assert!(health.is_clean(), "{health:?}");
-        let order: Vec<&str> = entries.iter().map(|e| e.scenario.as_str()).collect();
+        // A clock step backwards (t=50 minted after t=100) and a
+        // same-microsecond pair whose seq order (0 before 1) is the
+        // reverse of its id order (pid 2 after pid 1).
+        for (created_us, id, scenario) in [
+            (100u64, "0000000000000064-1-0002", "c"),
+            (50, "0000000000000032-1-0003", "d"),
+            (7, "0000000000000007-2-0000", "a"),
+            (7, "0000000000000007-1-0001", "b"),
+        ] {
+            let rec = RunRecord {
+                id: id.to_owned(),
+                created_us,
+                ..sample_record(scenario)
+            };
+            fs::write(dir.join(format!("runs/{id}.json")), rec.to_json().render()).expect("record");
+        }
+        let (runs, unreadable) = ledger.runs().expect("read");
+        assert_eq!(unreadable, 0);
+        let order: Vec<&str> = runs.iter().map(|r| r.scenario.as_str()).collect();
         assert_eq!(
             order,
             ["a", "b", "d", "c"],
@@ -1043,14 +768,14 @@ mod tests {
         let reader = Ledger::open(&dir).expect("open reader");
         let mut a = sample_record("one");
         writer.append(&mut a).expect("append one");
-        let first = reader.read_index().expect("read");
+        let (first, _) = reader.runs().expect("read");
         assert_eq!(first.len(), 1);
         let mut b = sample_record("two");
         writer.append(&mut b).expect("append two");
         // The earlier Vec is untouched by definition; a fresh read from
         // the same handle surfaces the cross-handle append.
         assert_eq!(first.len(), 1);
-        let second = reader.read_index().expect("re-read");
+        let (second, _) = reader.runs().expect("re-read");
         assert_eq!(second.len(), 2);
         assert_eq!(second[1].scenario, "two");
         let _ = fs::remove_dir_all(&dir);

@@ -39,7 +39,7 @@ pub mod probe;
 pub mod recorder;
 pub mod schema;
 
-pub use ledger::{EnvFingerprint, IndexEntry, IndexHealth, Ledger, RunRecord, RUN_RECORD_VERSION};
+pub use ledger::{EnvFingerprint, Ledger, RunRecord, RUN_RECORD_VERSION};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use probe::{
     AdvEvent, CollectProbe, Collected, HistogramRecord, NullProbe, Probe, RunInfo, RunSummary,

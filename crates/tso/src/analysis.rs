@@ -54,65 +54,56 @@ fn is_end(kind: EventKind) -> bool {
     matches!(kind, EventKind::Exit | EventKind::Return { .. })
 }
 
-/// Extracts every passage/operation span from a log, in start order.
-/// Unfinished passages have `end: None`.
-pub fn spans(log: &[Event]) -> Vec<Span> {
-    let mut result: Vec<Span> = Vec::new();
+/// Every passage/operation span of `log`, in start order, with its
+/// contention gauges, computed in one pass over the log. Unfinished
+/// passages have `end: None`, and their window runs to the end of the
+/// log. An `Exit`/`Return` closes its process's latest open span.
+///
+/// A process is *active* from its `Enter`/`Invoke` event through its
+/// `Exit`/`Return` event, both included. A span's interval contention
+/// counts the processes active at some event of its window, and its
+/// point contention is the most processes active at one such event.
+pub fn contention(log: &[Event]) -> Vec<(Span, Contention)> {
+    let total = log.iter().map(|e| e.pid).collect::<BTreeSet<_>>().len();
+    let mut active: BTreeSet<ProcId> = BTreeSet::new();
+    let mut spans: Vec<(Span, BTreeSet<ProcId>, usize)> = Vec::new();
+    // Indices into `spans` of the spans whose window is still running.
+    let mut open: Vec<usize> = Vec::new();
     for e in log {
         if is_start(e.kind) {
-            result.push(Span {
+            // The active set only grows here, so the gauges of a window
+            // are its first event's active set plus every later start.
+            active.insert(e.pid);
+            for &i in &open {
+                let (_, interval, point) = &mut spans[i];
+                interval.insert(e.pid);
+                *point = (*point).max(active.len());
+            }
+            open.push(spans.len());
+            let span = Span {
                 pid: e.pid,
                 start: e.seq,
                 end: None,
-            });
+            };
+            spans.push((span, active.clone(), active.len()));
         } else if is_end(e.kind) {
-            if let Some(open) = result
-                .iter_mut()
-                .rev()
-                .find(|s| s.pid == e.pid && s.end.is_none())
-            {
-                open.end = Some(e.seq);
+            if let Some(k) = open.iter().rposition(|&i| spans[i].0.pid == e.pid) {
+                spans[open.remove(k)].0.end = Some(e.seq);
             }
-        }
-    }
-    result
-}
-
-/// Computes the contention gauges for one span.
-pub fn contention(log: &[Event], span: Span) -> Contention {
-    let end = span.end.unwrap_or(log.len().saturating_sub(1));
-
-    // Total contention: every process with any event in the execution.
-    let total: BTreeSet<ProcId> = log.iter().map(|e| e.pid).collect();
-
-    // Reconstruct the active set over time.
-    let mut active: BTreeSet<ProcId> = BTreeSet::new();
-    let mut interval: BTreeSet<ProcId> = BTreeSet::new();
-    let mut point = 0usize;
-    for e in log {
-        if is_start(e.kind) {
-            active.insert(e.pid);
-        }
-        let in_window = e.seq >= span.start && e.seq <= end;
-        if in_window {
-            for p in &active {
-                interval.insert(*p);
-            }
-            point = point.max(active.len());
-        }
-        if is_end(e.kind) {
             active.remove(&e.pid);
         }
-        if e.seq > end {
-            break;
-        }
     }
-
-    Contention {
-        interval: interval.len(),
-        point,
-        total: total.len(),
-    }
+    spans
+        .into_iter()
+        .map(|(span, interval, point)| {
+            let gauges = Contention {
+                interval: interval.len(),
+                point,
+                total,
+            };
+            (span, gauges)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -141,24 +132,24 @@ mod tests {
     #[test]
     fn spans_are_extracted_with_ends() {
         let m = nested_passages();
-        let sp = spans(m.log());
+        let sp = contention(m.log());
         assert_eq!(sp.len(), 2);
-        assert_eq!(sp[0].pid, ProcId(0));
-        assert_eq!(sp[0].start, 0);
-        assert_eq!(sp[0].end, Some(5));
-        assert_eq!(sp[1].pid, ProcId(1));
-        assert_eq!(sp[1].end, Some(3));
+        assert_eq!(sp[0].0.pid, ProcId(0));
+        assert_eq!(sp[0].0.start, 0);
+        assert_eq!(sp[0].0.end, Some(5));
+        assert_eq!(sp[1].0.pid, ProcId(1));
+        assert_eq!(sp[1].0.end, Some(3));
     }
 
     #[test]
     fn contention_gauges_nested() {
         let m = nested_passages();
-        let sp = spans(m.log());
-        let outer = contention(m.log(), sp[0]);
+        let sp = contention(m.log());
+        let outer = sp[0].1;
         assert_eq!(outer.interval, 2, "p1 was active during p0's passage");
         assert_eq!(outer.point, 2);
         assert_eq!(outer.total, 2, "p2 never issued an event");
-        let inner = contention(m.log(), sp[1]);
+        let inner = sp[1].1;
         assert_eq!(inner.interval, 2);
         assert_eq!(inner.point, 2);
     }
@@ -172,8 +163,7 @@ mod tests {
         for _ in 0..3 {
             m.step(Directive::Issue(ProcId(0))).unwrap();
         }
-        let sp = spans(m.log());
-        let c = contention(m.log(), sp[0]);
+        let c = contention(m.log())[0].1;
         assert_eq!(
             c,
             Contention {
@@ -193,9 +183,7 @@ mod tests {
         for p in [0u32, 0, 0, 1, 1, 1] {
             m.step(Directive::Issue(ProcId(p))).unwrap();
         }
-        let sp = spans(m.log());
-        for s in sp {
-            let c = contention(m.log(), s);
+        for (_, c) in contention(m.log()) {
             assert_eq!(c.point, 1, "sequential passages never overlap");
             assert_eq!(c.interval, 1);
             assert_eq!(c.total, 2, "both participate in the execution");
@@ -210,9 +198,8 @@ mod tests {
         let mut m = Machine::new(&sys);
         m.step(Directive::Issue(ProcId(0))).unwrap(); // p0 Enter, never exits
         m.step(Directive::Issue(ProcId(1))).unwrap(); // p1 Enter
-        let sp = spans(m.log());
-        assert_eq!(sp[0].end, None);
-        let c = contention(m.log(), sp[0]);
-        assert_eq!(c.interval, 2);
+        let sp = contention(m.log());
+        assert_eq!(sp[0].0.end, None);
+        assert_eq!(sp[0].1.interval, 2);
     }
 }

@@ -85,7 +85,7 @@ pub mod trace;
 pub mod vars;
 pub mod vm;
 
-pub use analysis::{contention, spans, Contention, Span};
+pub use analysis::{contention, Contention, Span};
 pub use awareness::AwSet;
 pub use buffer::WriteBuffer;
 pub use bytecode::{

@@ -41,12 +41,15 @@
 #      `--threads` change surfacing as an env-fingerprint difference
 #      (and only that); record/report/snapshot schema validation
 #  11. ledger concurrency: 4 appender threads over two `Ledger` handles
-#      racing 4 reader threads on a shared handle — every read ordered,
-#      duplicate-free, health-clean, and listing only loadable records
+#      racing 4 reader threads on a shared handle — every read of the
+#      record files ordered, duplicate-free, free of unreadable records,
+#      and listing only loadable records
 #  12. concurrent ledger: the litmus corpus written into a ledger while
 #      a background `tpa_runs list` loop reads it the whole time — zero
-#      read errors, zero torn/duplicate warnings, and a zero-regression
-#      `tpa_runs diff` across the two racing-writer passes
+#      read errors, zero unreadable-record warnings (an append in flight
+#      is an empty claimed file, which reads skip), and a
+#      zero-regression `tpa_runs diff` across the two racing-writer
+#      passes
 #  13. checkpoint/resume durability: a lock search deadline-interrupted
 #      at 0 ms writes a checkpoint (schema-checked by `obs_validate
 #      --checkpoint`), `check_file --resume` finishes it, and
@@ -216,9 +219,9 @@ test ! -f "$SCRATCH/reader.failed" \
 test ! -s "$READER_ERR" \
     || { echo "concurrent tpa_runs list wrote to stderr:"; cat "$READER_ERR"; exit 1; }
 test -s "$READER_OUT" || { echo "reader loop never completed a read"; exit 1; }
-# Snapshot reads never surface damage from a mid-flight append.
+# Reads never count a mid-flight append as an unreadable record.
 if grep -q '^warning' "$READER_OUT"; then
-    echo "concurrent reader saw torn/duplicate index lines:"
+    echo "concurrent reader saw unreadable records:"
     grep '^warning' "$READER_OUT" | sort -u
     exit 1
 fi

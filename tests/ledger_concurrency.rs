@@ -1,6 +1,6 @@
 //! Concurrency guarantees of the run ledger (`tpa::obs::Ledger`):
 //! appenders on two handles race readers on a shared handle, and every
-//! read must be a whole, ordered, deduplicated view whose records load.
+//! read must be a whole, ordered, duplicate-free view whose records load.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,12 +24,12 @@ fn order_key(id: &str, created_us: u64) -> (u64, u64, String) {
 }
 
 /// Four appender threads over two `Ledger` handles race four reader
-/// threads looping `read_index_with_health` on a shared handle. Every
-/// read is strictly ordered by `(created_us, seq, id)`, has no duplicate
-/// ids and clean health, lists only records that exist and load, and
-/// never loses an entry an earlier read of the same reader listed.
+/// threads looping `Ledger::runs` on a shared handle. Every read is
+/// strictly ordered by `(created_us, seq, id)`, has no duplicate ids,
+/// counts no unreadable record, lists only records that load as listed,
+/// and never loses a record an earlier read of the same reader listed.
 #[test]
-fn appenders_racing_readers_never_show_a_torn_index() {
+fn appenders_racing_readers_never_show_a_torn_ledger() {
     let dir = std::env::temp_dir().join(format!("tpa-ledger-concurrency-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let handles = [
@@ -69,9 +69,9 @@ fn appenders_racing_readers_never_show_a_torn_index() {
                 let mut seen: BTreeSet<String> = BTreeSet::new();
                 loop {
                     let done = running.load(Ordering::SeqCst) == 0;
-                    let (entries, health) = shared.read_index_with_health().expect("read");
-                    assert!(health.is_clean(), "{health:?}");
-                    for pair in entries.windows(2) {
+                    let (runs, unreadable) = shared.runs().expect("read");
+                    assert_eq!(unreadable, 0, "a read saw a record being written");
+                    for pair in runs.windows(2) {
                         assert!(
                             order_key(&pair[0].id, pair[0].created_us)
                                 < order_key(&pair[1].id, pair[1].created_us),
@@ -80,16 +80,11 @@ fn appenders_racing_readers_never_show_a_torn_index() {
                             pair[1].id
                         );
                     }
-                    let ids: BTreeSet<String> = entries.iter().map(|e| e.id.clone()).collect();
-                    assert_eq!(ids.len(), entries.len(), "duplicate ids in one read");
-                    assert!(ids.is_superset(&seen), "a later read lost entries");
-                    for e in &entries {
-                        assert!(
-                            dir.join(&e.path).is_file(),
-                            "{} listed, not on disk",
-                            e.path
-                        );
-                        assert_eq!(shared.load(&e.id).expect("listed record loads").id, e.id);
+                    let ids: BTreeSet<String> = runs.iter().map(|r| r.id.clone()).collect();
+                    assert_eq!(ids.len(), runs.len(), "duplicate ids in one read");
+                    assert!(ids.is_superset(&seen), "a later read lost records");
+                    for r in &runs {
+                        assert_eq!(&shared.load(&r.id).expect("listed record loads"), r);
                     }
                     seen = ids;
                     if done {
@@ -105,9 +100,9 @@ fn appenders_racing_readers_never_show_a_torn_index() {
     });
 
     assert_eq!(appended.len(), APPENDERS * PER_APPENDER);
-    let (entries, health) = shared.read_index_with_health().expect("final read");
-    assert!(health.is_clean(), "{health:?}");
-    let listed: BTreeSet<String> = entries.into_iter().map(|e| e.id).collect();
+    let (runs, unreadable) = shared.runs().expect("final read");
+    assert_eq!(unreadable, 0);
+    let listed: BTreeSet<String> = runs.into_iter().map(|r| r.id).collect();
     assert_eq!(listed, appended);
     let _ = std::fs::remove_dir_all(&dir);
 }

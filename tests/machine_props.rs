@@ -227,13 +227,12 @@ proptest! {
         n in 2usize..5,
         seed in 0u64..5000,
     ) {
-        use tpa::tso::analysis::{contention, spans};
+        use tpa::tso::analysis::contention;
         let lock = lock_by_name("ttas", n, 1).unwrap();
         let (machine, _) =
             run_random(lock.as_ref(), seed, CommitPolicy::Random { num: 96 }, 400_000)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        for span in spans(machine.log()) {
-            let c = contention(machine.log(), span);
+        for (_, c) in contention(machine.log()) {
             prop_assert!(c.point >= 1);
             prop_assert!(c.point <= c.interval, "{c:?}");
             prop_assert!(c.interval <= c.total, "{c:?}");
