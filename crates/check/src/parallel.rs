@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use tpa_obs::{Metrics, Probe, WorkerSnapshot};
-use tpa_tso::{Directive, Machine, MemoryModel, StateKey, SymmetryGroup, System};
+use tpa_tso::{Directive, Machine, MemoryModel, RenamedHashes, StateKey, SymmetryGroup, System};
 
 use crate::cache::{Rank, StateCache};
 use crate::checkpoint::{CandidateData, Counters, FrontierNode, SearchImage};
@@ -136,6 +136,12 @@ pub(crate) struct ExhaustiveOutcome {
 /// schedule from the root is [`Engine::schedule`] of its rank.
 struct Node {
     machine: Machine,
+    /// Under canonical keys, every renaming's permuted fingerprint of
+    /// `machine` (or the component that rules the renaming out), from
+    /// which each child's table and key follow; empty under concrete
+    /// keys. Built from scratch at the root and for each node a resume
+    /// replays, and never written to a checkpoint.
+    renamed: RenamedHashes,
     sleep: SleepSet,
     depth: u32,
     rank: Rank,
@@ -152,11 +158,16 @@ struct Scratch {
     /// machine is kept only while the spares are fewer than the nodes on
     /// the worker's stack, so spares never much outnumber the frontier
     /// and drain with it as a search ends, when the cache is largest.
-    spares: Vec<Machine>,
+    /// Each machine keeps the renaming table it had, whose storage the
+    /// next child's table reuses.
+    spares: Vec<(Machine, RenamedHashes)>,
     /// The enabled directives of the node being expanded.
     enabled: Vec<Directive>,
     /// The rank of the child being visited, as bytes.
     rank: Vec<u8>,
+    /// The child's sleep set renamed into its canonical key's
+    /// coordinates, when that renaming is not the identity.
+    renamed_sleep: SleepSet,
 }
 
 /// A violation candidate, ordered by the rank of the node that exhibited
@@ -398,31 +409,44 @@ struct Engine<'a> {
     symmetry: Option<&'a SymmetryGroup>,
 }
 
-/// The cache coordinates of a state: its canonical key plus, when the
-/// canonicalising permutation is not the identity, the sleep set
-/// relabeled into the same coordinates (a sleep set names directives,
-/// and cache subsumption compares sleep sets of states stored under one
-/// key — they must all speak the key's renaming).
-fn cache_coords(
+/// The cache coordinates of a state, given its renaming table: its
+/// canonical key plus, when the canonicalising permutation is not the
+/// identity, the sleep set relabeled into the same coordinates, written
+/// into `renamed_sleep` (a sleep set names directives, and cache
+/// subsumption compares sleep sets of states stored under one key — they
+/// must all speak the key's renaming).
+fn cache_coords<'s>(
     machine: &Machine,
+    renamed: &RenamedHashes,
     sleep: &SleepSet,
     symmetry: Option<&SymmetryGroup>,
-) -> (StateKey, Option<SleepSet>) {
+    renamed_sleep: &'s mut SleepSet,
+) -> (StateKey, Option<&'s SleepSet>) {
     match symmetry {
         None => (machine.state_key(), None),
         Some(group) => {
-            let (key, idx) = machine.canonical_state_key(group);
+            let (key, idx) = renamed.canonical_key(machine);
             if idx == 0 {
                 (key, None)
             } else {
-                let mut renamed = SleepSet::empty();
+                renamed_sleep.clear();
                 for d in sleep.iter() {
-                    renamed.insert(group.rename_directive(idx, d));
+                    renamed_sleep.insert(group.rename_directive(idx, d));
                 }
-                (key, Some(renamed))
+                (key, Some(renamed_sleep))
             }
         }
     }
+}
+
+/// `machine`'s renaming table under `symmetry`, computed from scratch,
+/// or an empty one (which allocates nothing) under concrete keys.
+fn renamed_from_scratch(machine: &Machine, symmetry: Option<&SymmetryGroup>) -> RenamedHashes {
+    let mut renamed = RenamedHashes::new();
+    if let Some(group) = symmetry {
+        renamed.rebuild(machine, group);
+    }
+    renamed
 }
 
 /// Explores every schedule of `system` up to `config.max_steps` steps
@@ -635,7 +659,14 @@ impl Engine<'_> {
         match start {
             Start::Root(root) => {
                 let root_rank = Rank::from_indices(&[]);
-                let (root_key, _) = cache_coords(&root, &SleepSet::empty(), self.symmetry);
+                let renamed = renamed_from_scratch(&root, self.symmetry);
+                let (root_key, _) = cache_coords(
+                    &root,
+                    &renamed,
+                    &SleepSet::empty(),
+                    self.symmetry,
+                    &mut SleepSet::empty(),
+                );
                 self.cache
                     .try_visit(root_key, &SleepSet::empty(), 0, root_rank.as_bytes());
                 self.work
@@ -644,6 +675,7 @@ impl Engine<'_> {
                     .queue
                     .push_back(Node {
                         machine: *root,
+                        renamed,
                         sleep: SleepSet::empty(),
                         depth: 0,
                         rank: root_rank,
@@ -818,6 +850,7 @@ impl Engine<'_> {
                 sleep.insert(d);
             }
             st.queue.push_back(Node {
+                renamed: renamed_from_scratch(&machine, self.symmetry),
                 machine,
                 sleep,
                 depth: node.rank.len() as u32,
@@ -1011,7 +1044,7 @@ impl Engine<'_> {
                 // suppress themselves.
                 local.push(node);
             } else if scratch.spares.len() < local.len() {
-                scratch.spares.push(node.machine);
+                scratch.spares.push((node.machine, node.renamed));
             }
             ws.max_frontier = ws.max_frontier.max(local.len() as u32);
             if ws.nodes_expanded != expanded && ws.nodes_expanded.is_multiple_of(SNAPSHOT_EVERY) {
@@ -1143,6 +1176,7 @@ impl Engine<'_> {
             spares,
             enabled,
             rank,
+            renamed_sleep,
         } = scratch;
         enabled_all_into(&node.machine, enabled);
         for (i, &d) in enabled.iter().enumerate() {
@@ -1156,12 +1190,12 @@ impl Engine<'_> {
                 return true;
             }
             ws.transitions += 1;
-            let mut child = match spares.pop() {
-                Some(mut spare) => {
+            let (mut child, mut renamed) = match spares.pop() {
+                Some((mut spare, renamed)) => {
                     node.machine.fork_for_search_into(&mut spare);
-                    spare
+                    (spare, renamed)
                 }
-                None => node.machine.fork_for_search(),
+                None => (node.machine.fork_for_search(), RenamedHashes::new()),
             };
             child
                 .step(d)
@@ -1169,7 +1203,7 @@ impl Engine<'_> {
 
             node.rank.child_into(i as u32, rank);
             if let Some(violation) = self.invariants.iter().find_map(|inv| inv.check(&child)) {
-                spares.push(child);
+                spares.push((child, renamed));
                 self.offer(Candidate {
                     rank: Rank::from_bytes(rank),
                     violation,
@@ -1192,28 +1226,33 @@ impl Engine<'_> {
             done.insert(d);
 
             let child_depth = node.depth + 1;
-            let (child_key, renamed_sleep) = cache_coords(&child, &child_sleep, self.symmetry);
+            if let Some(group) = self.symmetry {
+                renamed.rebuild_after_step(&node.renamed, &node.machine, d, &child, group);
+            }
+            let (child_key, cache_sleep) =
+                cache_coords(&child, &renamed, &child_sleep, self.symmetry, renamed_sleep);
             // `cache_coords` returns a renamed sleep set exactly when
             // canonicalisation applied a non-identity permutation.
-            ws.sym_renamed += renamed_sleep.is_some() as u64;
-            let cache_sleep = renamed_sleep.as_ref().unwrap_or(&child_sleep);
+            ws.sym_renamed += cache_sleep.is_some() as u64;
+            let cache_sleep = cache_sleep.unwrap_or(&child_sleep);
             let Some((evicted, child_rank)) =
                 self.cache
                     .try_visit(child_key, cache_sleep, child_depth, rank)
             else {
                 ws.cache_hits += 1;
-                spares.push(child);
+                spares.push((child, renamed));
                 continue;
             };
             ws.cache_misses += 1;
             ws.cache_subsumed += evicted;
             if child_depth as usize >= self.config.max_steps {
                 ws.truncated_paths += 1;
-                spares.push(child);
+                spares.push((child, renamed));
                 continue;
             }
             local.push(Node {
                 machine: child,
+                renamed,
                 sleep: child_sleep,
                 depth: child_depth,
                 rank: child_rank,

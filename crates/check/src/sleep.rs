@@ -33,6 +33,11 @@ impl SleepSet {
         }
     }
 
+    /// Wakes every sleeper, keeping the storage for reuse.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
     /// Whether every sleeper of `self` is also asleep in `other` — a
     /// merge walk over the two sorted vectors.
     pub fn is_subset(&self, other: &SleepSet) -> bool {

@@ -358,35 +358,47 @@ fn vm_execution_resumes_identically() {
 /// Canonical (symmetry-reduced) keys resume identically: the canonical
 /// state count — strictly smaller than the concrete one — survives the
 /// interruption, and the resumed legs re-validate and re-engage the
-/// group.
+/// group. Each resumed frontier node's renaming table is rebuilt from
+/// scratch, so the inputs include `mcs` at n = 3: five non-identity
+/// renamings, which rename the pid-valued `tail` and `next[]`, besides
+/// `filter` at n = 2 with its one.
 #[test]
 fn canonical_keys_resume_identically() {
     let canonical = Features {
         keys: StateKeys::Canonical,
         ..Features::default()
     };
-    let lock = tpa_algos::lock_by_name("filter", 2, 1).unwrap();
-    let control = Checker::new(lock.as_ref())
-        .max_steps(40)
-        .threads(2)
-        .features(canonical)
-        .exhaustive();
-    assert!(control.symmetry, "filter must engage symmetry at n = 2");
-    let dir = scratch("sym");
-    let budget = interrupt_budget(&control);
-    let make = |leg: usize| {
-        Checker::new(lock.as_ref())
+    for (name, n) in [("filter", 2), ("mcs", 3)] {
+        let lock = tpa_algos::lock_by_name(name, n, 1).unwrap();
+        let control = Checker::new(lock.as_ref())
             .max_steps(40)
-            .threads([2, 1, 4][leg % 3])
+            .threads(2)
             .features(canonical)
-            .max_transitions(budget)
-            .checkpoint_dir(&*dir)
-    };
-    let (resumed, legs) = drive(make(0).exhaustive(), &make);
-    assert!(legs >= 1, "chain completed without resuming");
-    assert!(resumed.symmetry, "resumed legs must re-engage symmetry");
-    assert_identical(&control, &resumed, "filter under canonical keys");
-    let _ = std::fs::remove_dir_all(&dir);
+            .exhaustive();
+        assert!(control.symmetry, "{name} must engage symmetry at n = {n}");
+        let dir = scratch(&format!("sym-{name}"));
+        let budget = interrupt_budget(&control);
+        let make = |leg: usize| {
+            Checker::new(lock.as_ref())
+                .max_steps(40)
+                .threads([2, 1, 4][leg % 3])
+                .features(canonical)
+                .max_transitions(budget)
+                .checkpoint_dir(&*dir)
+        };
+        let (resumed, legs) = drive(make(0).exhaustive(), &make);
+        assert!(legs >= 1, "{name}: chain completed without resuming");
+        assert!(
+            resumed.symmetry,
+            "{name}: resumed legs must re-engage symmetry"
+        );
+        assert_identical(
+            &control,
+            &resumed,
+            &format!("{name} at n = {n} under canonical keys"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A crash-injecting search (recoverable bakery, crash budget 1) resumes

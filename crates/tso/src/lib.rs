@@ -96,7 +96,7 @@ pub use event::{Event, EventKind, ReadSource, SpecialKind};
 pub use fxhash::{fx_hash_one, FxBuildHasher, FxHasher};
 pub use ids::{ProcId, Value, VarId};
 pub use machine::{
-    CrashState, Directive, Machine, MemoryModel, Mode, Section, StateKey, StepError,
+    CrashState, Directive, Machine, MemoryModel, Mode, RenamedHashes, Section, StateKey, StepError,
 };
 pub use metrics::{Counters, Histogram, Metrics, PassageStats, ProcMetrics, SpanKind};
 pub use op::{Op, Outcome};

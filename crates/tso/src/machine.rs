@@ -1673,19 +1673,41 @@ impl Machine {
 
     /// The fingerprint the π-renamed state would have, or `None` when
     /// this state is not expressible under `perm` (see
-    /// [`Program::state_hash_permuted`] — never unsound, only a missed
-    /// reduction). The global component is permutation-invariant, so only
-    /// the per-variable and per-process components are recomputed — over
+    /// [`Program::state_hash_permuted`]). A `None` in some states does
+    /// not make the reduction sound: a renaming valid in one state need
+    /// not commute with the transitions out of it, and under canonical
+    /// keys `splitter`, `filter` and `dijkstra` can report `Pass` on an
+    /// orbit that concrete keys report as a `Violation` (ROADMAP item 1).
+    /// The global component is permutation-invariant, so only the
+    /// per-variable and per-process components are recomputed — over
     /// current values only, no walk of histories or logs.
     pub fn state_hash_permuted(&self, perm: &Permutation, var_map: &[u32]) -> Option<u64> {
-        let mut hash = self.global_component();
-        for i in 0..self.var_hash.len() {
-            hash ^= self.var_component_permuted(i, perm, var_map)?;
+        match self.renamed_from_scratch(perm, var_map) {
+            Renamed::Valid(x) => Some(self.global_component() ^ x),
+            Renamed::Invalid(_) => None,
+        }
+    }
+
+    /// The xor of every permuted variable and process component under
+    /// `perm`, or the first component (variables first, then processes)
+    /// that `perm` cannot express — where [`Machine::state_hash_permuted`]
+    /// stops.
+    fn renamed_from_scratch(&self, perm: &Permutation, var_map: &[u32]) -> Renamed {
+        let vars = self.var_hash.len();
+        let mut x = 0;
+        for i in 0..vars {
+            match self.var_component_permuted(i, perm, var_map) {
+                Some(h) => x ^= h,
+                None => return Renamed::Invalid(i as u32),
+            }
         }
         for i in 0..self.proc_hash.len() {
-            hash ^= self.proc_component_permuted(i, perm, var_map)?;
+            match self.proc_component_permuted(i, perm, var_map) {
+                Some(h) => x ^= h,
+                None => return Renamed::Invalid((vars + i) as u32),
+            }
         }
-        Some(hash)
+        Renamed::Valid(x)
     }
 
     /// The canonical cache key under `group`: the minimum of
@@ -1917,6 +1939,158 @@ pub struct Footprint {
     pub read: Option<VarId>,
     /// Shared variable written (committed or CAS-ed), if any.
     pub write: Option<VarId>,
+}
+
+/// One renaming's entry in a [`RenamedHashes`] table. A component is
+/// named by its index: variable `i` is `i`, process `i` is the variable
+/// count plus `i`.
+#[derive(Clone, Copy, Debug)]
+enum Renamed {
+    /// The xor of the renaming's permuted variable and process
+    /// components: its [`Machine::state_hash_permuted`] without the
+    /// global component.
+    Valid(u64),
+    /// A component the renaming cannot express in this state, its
+    /// invalidity witness. The renaming stays invalid while no step
+    /// touches that component.
+    Invalid(u32),
+}
+
+/// Every non-identity renaming of a [`SymmetryGroup`], evaluated on one
+/// machine state: the renaming's permuted fingerprint, or a component
+/// it cannot express there. A search node carries its state's table, so
+/// that a child's canonical key rehashes only what its step touched
+/// instead of every component under every renaming.
+///
+/// **Exactness.** For a table built from a machine `m` — from scratch by
+/// [`RenamedHashes::rebuild`], or from its parent's table by
+/// [`RenamedHashes::rebuild_after_step`] — and every renaming index
+/// `idx` of the group, [`RenamedHashes::permuted_hash`]`(m, idx)` equals
+/// [`Machine::state_hash_permuted`]`(group.perm(idx), group.var_map(idx))`:
+/// the same validity and, when valid, the same hash. So
+/// [`RenamedHashes::canonical_key`] equals
+/// [`Machine::canonical_state_key`] bit for bit, index included. Which
+/// component an invalid entry names may differ between the two
+/// constructors.
+///
+/// The after-step constructor rests on the hash-maintenance contract of
+/// [`Machine::state_hash`]: a step changes the scheduled process's
+/// component, the component of the variable it commits or CASes, and the
+/// global one, which no renaming moves. A permuted component depends
+/// only on its own variable or process, so every other component keeps
+/// its parent's value.
+#[derive(Clone, Debug, Default)]
+pub struct RenamedHashes {
+    /// Entry `k` is the group's renaming `k + 1`; the identity needs no
+    /// entry, since its fingerprint is [`Machine::state_hash`].
+    entries: Vec<Renamed>,
+}
+
+impl RenamedHashes {
+    /// An empty table. It allocates nothing until it is rebuilt.
+    pub const fn new() -> Self {
+        RenamedHashes {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Overwrites `self` with `machine`'s table under `group`, computed
+    /// from scratch as [`Machine::state_hash_permuted`] computes each
+    /// renaming, reusing `self`'s storage.
+    pub fn rebuild(&mut self, machine: &Machine, group: &SymmetryGroup) {
+        self.entries.clear();
+        self.entries.extend(
+            (1..group.len())
+                .map(|idx| machine.renamed_from_scratch(group.perm(idx), group.var_map(idx))),
+        );
+    }
+
+    /// Overwrites `self` with the table of `child`, the state that
+    /// `parent` reaches by executing `d`, given `parent`'s table
+    /// `parent_table`; reuses `self`'s storage. Per renaming:
+    ///
+    /// * an invalid entry whose witness the step did not touch stays
+    ///   invalid, at no cost;
+    /// * a valid entry swaps the parent's permuted components of the
+    ///   scheduled process and of the variable `d` commits or CASes (the
+    ///   `write` of `parent.footprint(d)`) for the child's;
+    /// * any other entry is recomputed from scratch.
+    pub fn rebuild_after_step(
+        &mut self,
+        parent_table: &RenamedHashes,
+        parent: &Machine,
+        d: Directive,
+        child: &Machine,
+        group: &SymmetryGroup,
+    ) {
+        let vars = child.var_hash.len();
+        let proc = d.pid().index();
+        let proc_slot = (vars + proc) as u32;
+        let var = parent.footprint(d).and_then(|f| f.write).map(VarId::index);
+        let var_slot = var.map(|v| v as u32);
+        self.entries.clear();
+        self.entries
+            .extend(parent_table.entries.iter().enumerate().map(|(k, &entry)| {
+                let (perm, var_map) = (group.perm(k + 1), group.var_map(k + 1));
+                match entry {
+                    Renamed::Invalid(w) if w != proc_slot && Some(w) != var_slot => entry,
+                    Renamed::Invalid(_) => child.renamed_from_scratch(perm, var_map),
+                    Renamed::Valid(mut x) => {
+                        const VALID: &str = "a valid renaming expresses every component";
+                        if let Some(v) = var {
+                            x ^= parent
+                                .var_component_permuted(v, perm, var_map)
+                                .expect(VALID);
+                            match child.var_component_permuted(v, perm, var_map) {
+                                Some(h) => x ^= h,
+                                None => return Renamed::Invalid(v as u32),
+                            }
+                        }
+                        x ^= parent
+                            .proc_component_permuted(proc, perm, var_map)
+                            .expect(VALID);
+                        match child.proc_component_permuted(proc, perm, var_map) {
+                            Some(h) => Renamed::Valid(x ^ h),
+                            None => Renamed::Invalid(proc_slot),
+                        }
+                    }
+                }
+            }));
+    }
+
+    /// The fingerprint of `machine` renamed by the group's renaming
+    /// `idx`, or `None` when the renaming cannot express the state:
+    /// [`Machine::state_hash_permuted`] as this table carries it.
+    /// `machine` must be the state the table was built for.
+    pub fn permuted_hash(&self, machine: &Machine, idx: usize) -> Option<u64> {
+        if idx == 0 {
+            return Some(machine.hash);
+        }
+        match self.entries[idx - 1] {
+            Renamed::Valid(x) => Some(machine.global_component() ^ x),
+            Renamed::Invalid(_) => None,
+        }
+    }
+
+    /// [`Machine::canonical_state_key`] of the state this table was built
+    /// for: the least fingerprint over the valid renamings, with ties
+    /// broken toward the lowest index. The global component is added
+    /// here, since a crash changes it.
+    pub fn canonical_key(&self, machine: &Machine) -> (StateKey, usize) {
+        let global = machine.global_component();
+        let mut best = machine.hash;
+        let mut best_idx = 0;
+        for (k, entry) in self.entries.iter().enumerate() {
+            if let Renamed::Valid(x) = *entry {
+                let h = global ^ x;
+                if h < best {
+                    best = h;
+                    best_idx = k + 1;
+                }
+            }
+        }
+        (StateKey(best), best_idx)
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,13 @@
 #      twice at the default thread count, whose outputs must be
 #      byte-identical, then timed on 4 worker threads
 #   5. symmetry + swarm resilience: the whole portfolio verified
-#      bounded-exhaustively at n = 3 with symmetry reduction engaged,
-#      then the swarm determinism pin across 1/2/4/8 worker threads
+#      bounded-exhaustively at n = 3 with symmetry reduction engaged;
+#      the symmetry property tests (permuted fingerprints, canonical
+#      keys, and the renaming tables search nodes carry, which must
+#      equal tables built from scratch); the checker's canonical-key
+#      pins (verdicts, reduced state counts, thread-count stability,
+#      rejected declarations); then the swarm determinism pin across
+#      1/2/4/8 worker threads
 #   6. the bytecode VM, timed: the VM-vs-native differential oracle
 #      (portfolio verdicts, witnesses and state counts pinned equal
 #      through `Execution::Compiled`) plus the per-step lockstep
@@ -72,7 +77,10 @@
 #      promoted to errors, its unit tests and a formatting check, all
 #      against the current crates; then `perf check`, which replays the
 #      n = 2 portfolio through the layers' public functions and fails
-#      unless it reproduces the engine's counters exactly
+#      unless it reproduces the engine's counters exactly; then one
+#      1-second pass of the `symmetric` workload, whose exit status
+#      checks the seven `*/n4/s30/full` canonical-key pins in
+#      examples/perf/expected.json
 #  15. formatting check
 #
 # Every stage runs under `timeout` (default 900 s per stage, override
@@ -114,9 +122,11 @@ cat "$SCRATCH/c1-a.txt"
 cmp "$SCRATCH/c1-a.txt" "$SCRATCH/c1-b.txt" || { echo "two exp_c1_explorer runs differ"; exit 1; }
 time t cargo run --offline --release -p tpa-bench --bin exp_c1_explorer -- --quick --threads 4
 
-echo "== [5/15] symmetry reduction (n = 3 exhaustive) + multi-threaded swarm =="
+echo "== [5/15] symmetry reduction (n = 3 exhaustive, property tests, canonical pins) + multi-threaded swarm =="
 time t cargo test --offline --release -q \
     --test lock_correctness exhaustive_exclusion_every_lock_n3_with_symmetry
+time t cargo test --offline --release -q --test symmetry_props
+time t cargo test --offline --release -q -p tpa-check --test symmetry
 time t cargo test --offline --release -q -p tpa-check \
     --test swarm_resilience swarm_witness_is_deterministic_across_thread_counts
 
@@ -342,12 +352,14 @@ grep -q '^  pso expect violation .. ok \[resumed\]' "$SCRATCH/mp-resumed.txt" \
 [ "$(grep -c '\[resumed\]' "$SCRATCH/mp-resumed.txt")" = 1 ] \
     || { echo "a clause other than pso resumed the pso checkpoint"; exit 1; }
 
-echo "== [14/15] benchmark package: clippy, tests, fmt, replay self-check (perf check) =="
+echo "== [14/15] benchmark package: clippy, tests, fmt, replay self-check (perf check), symmetric pins =="
 PERF_MANIFEST=examples/perf/Cargo.toml
 t cargo clippy --offline --manifest-path "$PERF_MANIFEST" --all-targets -- -D warnings
 t cargo test --offline -q --manifest-path "$PERF_MANIFEST"
 t cargo fmt --manifest-path "$PERF_MANIFEST" -- --check
 t cargo run --offline --release --manifest-path "$PERF_MANIFEST" -- check
+t cargo run --offline --release --manifest-path "$PERF_MANIFEST" -- \
+    --workload symmetric --seconds 1 --trace 0
 
 echo "== [15/15] cargo fmt --check =="
 t cargo fmt --all -- --check
